@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race fmt-check verify bench bench-gate fuzz loadtest
+.PHONY: build test vet race fmt-check verify bench bench-gate benchmark fuzz loadtest
 
 build:
 	$(GO) build ./...
@@ -61,6 +61,15 @@ GATETIME ?= 200x
 bench-gate: build
 	$(GO) test -run='^$$' -bench='$(GATEBENCH)' -benchmem -benchtime=$(GATETIME) -count=$(GATECOUNT) . > bench-gate.out
 	$(GO) run ./cmd/benchjson -agg median -o BENCH_GATE.json bench-gate.out
+
+# benchmark: the repo's benchmark (BENCHMARK.json, bench/README.md) as a
+# no-regression check — ten runs of every workload at this checkout,
+# compared metric by metric against a committed result set of the seed.
+# Exits non-zero when any (metric, workload) is worse beyond its bound.
+BASE ?= bench/baseline/seed-a.json
+
+benchmark: build
+	$(GO) run ./bench -set bench/out/head.json -runs 10 && $(GO) run ./bench -compare $(BASE) bench/out/head.json
 
 # End-to-end load test: boot xqserve under the race detector with a
 # demo corpus and a deliberately tight admission budget, hammer it with

@@ -305,13 +305,13 @@ func BenchmarkE12_Scaling(b *testing.B) {
 	}
 }
 
-// --- probe pipeline: posting lists vs map sets, cold vs cached ---
+// --- probe pipeline: posting-list combine, cold vs cached ---
 
 // synthDocStreams builds doc-id streams shaped like a B+Tree range scan:
 // one ascending run of doc ids per indexed value (composite keys sort by
 // value first, then doc), with adjacent duplicates where one document
-// holds several matching nodes. Deterministic, so both pipeline variants
-// see identical input.
+// holds several matching nodes. Deterministic, so every run sees
+// identical input.
 func synthDocStreams(streams, runs, idsPerRun int) [][]uint32 {
 	state := uint32(2463534242)
 	rnd := func(n uint32) uint32 { // xorshift32
@@ -338,45 +338,10 @@ func synthDocStreams(streams, runs, idsPerRun int) [][]uint32 {
 	return out
 }
 
-// CombineMapSets replicates the pre-posting-list pipeline: build one
-// map[uint32]bool per probe from its entry stream, then intersect the
-// first two and union in the third — the engine's occurrence combine.
-func BenchmarkProbePipeline_CombineMapSets(b *testing.B) {
-	streams := synthDocStreams(3, 16, 250)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sets := make([]map[uint32]bool, len(streams))
-		for s, ids := range streams {
-			m := make(map[uint32]bool)
-			for _, id := range ids {
-				m[id] = true
-			}
-			sets[s] = m
-		}
-		inter := map[uint32]bool{}
-		for k := range sets[0] {
-			if sets[1][k] {
-				inter[k] = true
-			}
-		}
-		union := make(map[uint32]bool, len(inter)+len(sets[2]))
-		for k := range inter {
-			union[k] = true
-		}
-		for k := range sets[2] {
-			union[k] = true
-		}
-		if len(union) == 0 {
-			b.Fatal("empty result")
-		}
-	}
-}
-
-// CombinePostingLists is the same combine over sorted posting lists, the
-// way docCollector + DocList run it: append doc ids with adjacent-run
-// dedup, one k-way run merge per stream, then galloping intersection and
-// merge union with no hashing.
+// CombinePostingLists is the engine's occurrence combine over sorted
+// posting lists: append doc ids with adjacent-run dedup, one k-way run
+// merge per stream, then intersect the first two lists (galloping) and
+// merge-union in the third, with no hashing.
 func BenchmarkProbePipeline_CombinePostingLists(b *testing.B) {
 	streams := synthDocStreams(3, 16, 250)
 	b.ReportAllocs()

@@ -7,7 +7,6 @@
 //   - scan vs indexed        ("Scan"/"scan" ↔ "Indexed"/"indexed")
 //   - unprepared vs prepared ("Unprepared" ↔ "Prepared")
 //   - serial vs parallel     ("par=1" ↔ "par=8")
-//   - map vs posting lists   ("MapSets" ↔ "PostingLists")
 //   - cold vs cached probes  ("Cold" ↔ "Cached")
 //   - synopsis off vs on     ("SynopsisOff" ↔ "SynopsisOn")
 //
@@ -104,7 +103,6 @@ var pairRules = []struct {
 	{"scan-vs-indexed", "scan", "indexed"},
 	{"unprepared-vs-prepared", "Unprepared", "Prepared"},
 	{"serial-vs-parallel", "par=1", "par=8"},
-	{"map-vs-postings", "MapSets", "PostingLists"},
 	{"cold-vs-cached", "Cold", "Cached"},
 	{"perrow-vs-streaming", "PerRowLoader", "StreamingPipeline"},
 	{"nosynopsis-vs-synopsis", "SynopsisOff", "SynopsisOn"},

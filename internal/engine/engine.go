@@ -19,7 +19,6 @@ import (
 	"github.com/xqdb/xqdb/internal/guard"
 	"github.com/xqdb/xqdb/internal/metrics"
 	"github.com/xqdb/xqdb/internal/postings"
-	"github.com/xqdb/xqdb/internal/sqlxml"
 	"github.com/xqdb/xqdb/internal/storage"
 	"github.com/xqdb/xqdb/internal/xdm"
 	"github.com/xqdb/xqdb/internal/xmlindex"
@@ -223,7 +222,7 @@ func (e *Engine) planProbes(a *core.Analysis) ([]probePlan, []predDecision, erro
 		// Check every candidate so the decision shows the whole field,
 		// not just the indexes up to the first eligible one.
 		for _, xi := range indexes {
-			d.verdicts = append(d.verdicts, core.CheckIndex(xi.Name, xi.Index.Pattern, indexCompat(xi.Index.Type), p))
+			d.verdicts = append(d.verdicts, core.CheckIndex(xi.Name, xi.Index.Pattern, xi.Index.Type, p))
 		}
 		switch {
 		case !p.Filtering:
@@ -342,9 +341,6 @@ func rankProbes(plans []probePlan) {
 		return ei < ej
 	})
 }
-
-// indexCompat adapts the storage index type to the analyzer's view.
-func indexCompat(t xmlindex.Type) xmlindex.Type { return t }
 
 // defaultSemiJoinCap bounds the number of distinct values a semi-join
 // probes when ExecOptions.SemiJoinMaxValues is unset; larger joins fall
@@ -507,11 +503,9 @@ type probeOutcome struct {
 	docs postings.List
 	// nodes carries the node-granularity result when the probe ran for
 	// a seeded predicate; docs is then its document projection.
-	nodes   postings.NodeList
-	label   string
-	probes  int
-	visited int
-	cached  bool
+	nodes  postings.NodeList
+	label  string
+	cached bool
 	// ok=false marks a non-probeable outcome (semi-join too large, bound
 	// does not cast): the occurrence stays unprobed and poisons its
 	// collection below — a full scan, never a wrong answer.
@@ -523,10 +517,45 @@ type probeOutcome struct {
 	// phase aborts the query with it.
 	err error
 	t0  time.Time
-	// stats is this outcome's Stats delta, built on the worker by
-	// statsDelta and folded into the query's Stats by the serial merge
-	// loop via (*Stats).merge.
+	// stats is this outcome's Stats delta: indexProbe counts probes and
+	// visited keys into it as they run, statsDelta completes it on the
+	// worker, and the serial merge loop folds it into the query's Stats
+	// via (*Stats).merge.
 	stats Stats
+}
+
+// indexProbe runs one index probe on behalf of a query: view is the
+// index's NodeList or DocList, whichever projection of the probe result
+// the caller consumes. The probe runs under the query's guard and
+// probe-cache knob and is counted into st, failed or not — the index
+// work that ran before an error is real work. A guard violation
+// (cancellation or timeout mid-scan) is the only error: it aborts the
+// query and must not degrade into "no filter". ok=false without an error
+// marks a bound that does not cast to the index type (a constant that
+// type checking should have rejected, a join value that is not a
+// number): the caller treats the probe as non-probeable or as matching
+// nothing, never as a failure.
+func indexProbe[L any](view func(xmlindex.Probe) (L, int, bool, error), p xmlindex.Probe, g *guard.Guard, o ExecOptions, st *Stats) (list L, cached, ok bool, err error) {
+	p.Guard = g
+	p.NoCache = o.NoProbeCache
+	list, visited, cached, err := view(p)
+	st.Probes++
+	st.KeysVisited += visited
+	if err != nil {
+		if _, isViolation := guard.AsViolation(err); !isViolation {
+			err = nil
+		}
+		return list, false, false, err
+	}
+	return list, cached, true, nil
+}
+
+// cachedLabel marks a probe label whose result came from the probe cache.
+func cachedLabel(label string, cached bool) string {
+	if cached {
+		return label + " [cached]"
+	}
+	return label
 }
 
 // runProbe executes one probe plan to completion.
@@ -557,77 +586,45 @@ func (e *Engine) runProbe(g *guard.Guard, pl probePlan, o ExecOptions, t0 time.T
 			return out
 		}
 		lists := make([]postings.List, 0, len(values))
-		allCached := len(values) > 0
+		out.cached = len(values) > 0
 		for _, v := range values {
 			probe := pl.probe
 			probe.Range = xmlindex.Equality(v)
-			probe.Guard = g
-			probe.NoCache = o.NoProbeCache
-			docs, visited, cached, perr := pl.index.DocList(probe)
-			out.probes++
-			out.visited += visited
-			if perr != nil {
-				if _, isViolation := guard.AsViolation(perr); isViolation {
-					// Cancellation/timeout mid-probe aborts the query; it
-					// must not degrade into "no filter".
-					out.err = perr
-					return out
-				}
+			docs, cached, ok, err := indexProbe(pl.index.DocList, probe, g, o, &out.stats)
+			if err != nil {
+				out.err = err
+				return out
+			}
+			if !ok {
 				continue // non-castable join value matches nothing
 			}
-			if !cached {
-				allCached = false
-			}
+			out.cached = out.cached && cached
 			lists = append(lists, docs)
 		}
 		out.docs = postings.Union(lists...)
 		out.label = fmt.Sprintf("%s, %d values)", strings.TrimSuffix(pl.label, ")"), len(values))
-		out.cached = allCached
-		out.ok = true
 	} else if len(pl.seeds) > 0 && !o.NoNodeSeeds && !e.annotatedColumn(pl) {
-		// Node granularity: the same scan also decodes ordinals, so the
-		// hits can seed re-evaluation. The document projection keeps the
-		// Definition-1 pre-filter identical to the doc-granular probe.
-		probe := pl.probe
-		probe.Guard = g
-		probe.NoCache = o.NoProbeCache
-		nodes, visited, cached, err := pl.index.NodeList(probe)
-		out.probes = 1
-		out.visited = visited
-		if err != nil {
-			if _, isViolation := guard.AsViolation(err); isViolation {
-				out.err = err
-			}
+		// Node granularity: the same probe also names the matched nodes,
+		// so the hits can seed re-evaluation. The document projection
+		// keeps the Definition-1 pre-filter identical to the doc-granular
+		// probe.
+		nodes, cached, ok, err := indexProbe(pl.index.NodeList, pl.probe, g, o, &out.stats)
+		if !ok {
+			out.err = err
 			return out
 		}
-		out.nodes = nodes
-		out.docs = nodes.Docs()
+		out.nodes, out.docs, out.cached = nodes, nodes.Docs(), cached
 		out.label += fmt.Sprintf(" [node-granular: %d nodes]", len(nodes))
-		out.cached = cached
-		out.ok = true
 	} else {
-		probe := pl.probe
-		probe.Guard = g
-		probe.NoCache = o.NoProbeCache
-		docs, visited, cached, err := pl.index.DocList(probe)
-		out.probes = 1
-		out.visited = visited
-		if err != nil {
-			if _, isViolation := guard.AsViolation(err); isViolation {
-				out.err = err
-			}
-			// Otherwise: a probe bound that does not cast (e.g. a string
-			// constant against a double index) should have been rejected
-			// by type checking; treat as non-probeable rather than failing.
+		docs, cached, ok, err := indexProbe(pl.index.DocList, pl.probe, g, o, &out.stats)
+		if !ok {
+			out.err = err
 			return out
 		}
-		out.docs = docs
-		out.cached = cached
-		out.ok = true
+		out.docs, out.cached = docs, cached
 	}
-	if out.cached {
-		out.label += " [cached]"
-	}
+	out.ok = true
+	out.label = cachedLabel(out.label, out.cached)
 	return out
 }
 
@@ -714,7 +711,7 @@ func (e *Engine) runProbes(g *guard.Guard, plans []probePlan, a *core.Analysis, 
 		if !r.ok {
 			continue
 		}
-		stats.Trace.add("probe", fmt.Sprintf("%s: %d keys, %d docs", r.label, r.visited, len(r.docs)), r.t0)
+		stats.Trace.add("probe", fmt.Sprintf("%s: %d keys, %d docs", r.label, r.stats.KeysVisited, len(r.docs)), r.t0)
 		pl := plans[i]
 		if r.nodes != nil && pl.forRow < 0 {
 			nodeOcc[occKey{pl.coll, pl.occ}] = append(nodeOcc[occKey{pl.coll, pl.occ}], i)
@@ -939,28 +936,4 @@ func recoverPanic(err *error) {
 	if r := recover(); r != nil {
 		*err = &guard.Violation{Kind: guard.Internal, Msg: fmt.Sprintf("panic: %v", r)}
 	}
-}
-
-// ExecXQuery plans and runs a stand-alone XQuery. useIndexes=false forces
-// a full collection scan (the experimental baseline).
-func (e *Engine) ExecXQuery(query string, useIndexes bool) (xdm.Sequence, *Stats, error) {
-	return e.ExecXQueryOpts(query, ExecOptions{UseIndexes: useIndexes})
-}
-
-// ExecXQueryGuarded is ExecXQuery bounded by a per-query guard (nil =
-// unlimited). Panics inside planning or evaluation surface as Internal
-// guard violations, never as process crashes.
-func (e *Engine) ExecXQueryGuarded(g *guard.Guard, query string, useIndexes bool) (xdm.Sequence, *Stats, error) {
-	return e.ExecXQueryOpts(query, ExecOptions{Guard: g, UseIndexes: useIndexes})
-}
-
-// ExecSQL plans and runs a SQL/XML statement.
-func (e *Engine) ExecSQL(sql string, useIndexes bool) (*sqlxml.Result, *Stats, error) {
-	return e.ExecSQLOpts(sql, ExecOptions{UseIndexes: useIndexes})
-}
-
-// ExecSQLGuarded is ExecSQL bounded by a per-query guard (nil =
-// unlimited).
-func (e *Engine) ExecSQLGuarded(g *guard.Guard, sql string, useIndexes bool) (*sqlxml.Result, *Stats, error) {
-	return e.ExecSQLOpts(sql, ExecOptions{Guard: g, UseIndexes: useIndexes})
 }

@@ -18,7 +18,7 @@ func newPaperDB(t *testing.T, orders int) *Engine {
 		`create table orders (ordid integer, orddoc XML)`,
 		`create table products (id varchar(13), name varchar(32))`,
 	} {
-		if _, _, err := e.ExecSQL(ddl, false); err != nil {
+		if _, _, err := e.ExecSQLOpts(ddl, ExecOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -31,13 +31,13 @@ func newPaperDB(t *testing.T, orders int) *Engine {
 			`<order date="2002-01-01"><lineitem price="%d"><product><id>%d</id></product></lineitem><custid>%d</custid></order>`,
 			price, i%7, i%5)
 		sql := fmt.Sprintf(`insert into orders values (%d, '%s')`, i, doc)
-		if _, _, err := e.ExecSQL(sql, false); err != nil {
+		if _, _, err := e.ExecSQLOpts(sql, ExecOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 5; i++ {
 		doc := fmt.Sprintf(`<customer><id>%d</id><name>c%d</name></customer>`, i, i)
-		if _, _, err := e.ExecSQL(fmt.Sprintf(`insert into customer values (%d, '%s')`, i, doc), false); err != nil {
+		if _, _, err := e.ExecSQLOpts(fmt.Sprintf(`insert into customer values (%d, '%s')`, i, doc), ExecOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -46,7 +46,7 @@ func newPaperDB(t *testing.T, orders int) *Engine {
 
 func createLiPrice(t *testing.T, e *Engine) {
 	t.Helper()
-	if _, _, err := e.ExecSQL(`CREATE INDEX li_price ON orders(orddoc) USING XMLPATTERN '//lineitem/@price' AS double`, false); err != nil {
+	if _, _, err := e.ExecSQLOpts(`CREATE INDEX li_price ON orders(orddoc) USING XMLPATTERN '//lineitem/@price' AS double`, ExecOptions{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -55,11 +55,11 @@ func createLiPrice(t *testing.T, e *Engine) {
 // Definition 1: identical results.
 func assertEquivalentXQ(t *testing.T, e *Engine, query string) (*Stats, *Stats) {
 	t.Helper()
-	full, fstats, err := e.ExecXQuery(query, false)
+	full, fstats, err := e.ExecXQueryOpts(query, ExecOptions{})
 	if err != nil {
 		t.Fatalf("full scan: %v", err)
 	}
-	idx, istats, err := e.ExecXQuery(query, true)
+	idx, istats, err := e.ExecXQueryOpts(query, ExecOptions{UseIndexes: true})
 	if err != nil {
 		t.Fatalf("indexed: %v", err)
 	}
@@ -144,8 +144,8 @@ func TestQuery8SQLIndexed(t *testing.T) {
 func TestQuery9NoIndexAllRows(t *testing.T) {
 	e := newPaperDB(t, 60)
 	createLiPrice(t, e)
-	res, istats, err := e.ExecSQL(`SELECT ordid FROM orders
-		WHERE XMLExists('$order//lineitem/@price > 100' passing orddoc as "order")`, true)
+	res, istats, err := e.ExecSQLOpts(`SELECT ordid FROM orders
+		WHERE XMLExists('$order//lineitem/@price > 100' passing orddoc as "order")`, ExecOptions{UseIndexes: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestGeneralRangePairTwoProbes(t *testing.T) {
 	}
 	mustSQL(t, e, `CREATE INDEX price_el ON orders(orddoc) USING XMLPATTERN '//price' AS double`)
 	q := `db2-fn:xmlcolumn('ORDERS.ORDDOC')//lineitem[price > 100 and price < 200]`
-	res, istats, err := e.ExecXQuery(q, true)
+	res, istats, err := e.ExecXQueryOpts(q, ExecOptions{UseIndexes: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestTwoBindingsSameCollectionUnion(t *testing.T) {
 	q := `for $x in db2-fn:xmlcolumn('ORDERS.ORDDOC')//order[a = 1]
 	      for $y in db2-fn:xmlcolumn('ORDERS.ORDDOC')//order[b = 2]
 	      return <pair/>`
-	res, _, err := e.ExecXQuery(q, true)
+	res, _, err := e.ExecXQueryOpts(q, ExecOptions{UseIndexes: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestTextMisalignmentNotIndexed(t *testing.T) {
 		(2, '<order><lineitem><price>99.50<currency>USD</currency></price></lineitem></order>')`)
 	mustSQL(t, e, `CREATE INDEX PRICE_TEXT ON orders.orddoc USING XMLPATTERN '//price' AS varchar`)
 	q := `for $ord in db2-fn:xmlcolumn("ORDERS.ORDDOC")/order[lineitem/price/text() = "99.50"] return $ord`
-	res, istats, err := e.ExecXQuery(q, true)
+	res, istats, err := e.ExecXQueryOpts(q, ExecOptions{UseIndexes: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestStructuralProbeViaVarcharIndex(t *testing.T) {
 
 func mustSQL(t *testing.T, e *Engine, sql string) {
 	t.Helper()
-	if _, _, err := e.ExecSQL(sql, false); err != nil {
+	if _, _, err := e.ExecSQLOpts(sql, ExecOptions{}); err != nil {
 		t.Fatalf("%s: %v", sql, err)
 	}
 }

@@ -101,14 +101,6 @@ func probeCacheState(pl probePlan) string {
 	if pl.semi != nil {
 		return "per-value (semi-join values probed at execution)"
 	}
-	// A seeded plan executes at node granularity, so its cached result
-	// lives under the node-granularity key.
-	if len(pl.seeds) > 0 {
-		if pl.index.NodeListCached(pl.probe) {
-			return "hit"
-		}
-		return "cold"
-	}
 	if pl.index.ProbeCached(pl.probe) {
 		return "hit"
 	}

@@ -90,29 +90,19 @@ func (e *Engine) answerIndexOnly(spec *indexOnlySpec, g *guard.Guard, o ExecOpti
 		// index (§3.1).
 		return nil, false, nil
 	}
-	probe := spec.probe
-	probe.Guard = g
-	probe.NoCache = o.NoProbeCache
-	t0 := stats.Trace.now()
-	nodes, visited, cached, err := spec.index.NodeList(probe)
-	stats.Probes++
-	stats.KeysVisited += visited
-	if err != nil {
-		if _, isViolation := guard.AsViolation(err); isViolation {
-			return nil, false, err
-		}
-		return nil, false, nil // non-castable bound: evaluate normally
+	t0, keys0 := stats.Trace.now(), stats.KeysVisited
+	list, cached, ok, err := indexProbe(spec.index.NodeList, spec.probe, g, o, stats)
+	if !ok {
+		return nil, false, err // non-castable bound: evaluate normally
 	}
-	stats.NodesDecoded += len(nodes)
+	nodes := len(list)
+	stats.NodesDecoded += nodes
 	stats.IndexOnlyAnswered = true
-	label := spec.label + " [index-only]"
-	if cached {
-		label += " [cached]"
-	}
+	label := cachedLabel(spec.label+" [index-only]", cached)
 	stats.IndexesUsed = append(stats.IndexesUsed, label)
-	stats.Trace.add("probe", fmt.Sprintf("%s: %d keys, %d nodes", label, visited, len(nodes)), t0)
+	stats.Trace.add("probe", fmt.Sprintf("%s: %d keys, %d nodes", label, stats.KeysVisited-keys0, nodes), t0)
 	if spec.q.Count {
-		return xdm.Sequence{xdm.NewInteger(int64(len(nodes)))}, true, nil
+		return xdm.Sequence{xdm.NewInteger(int64(nodes))}, true, nil
 	}
-	return xdm.Sequence{xdm.NewBoolean(len(nodes) > 0)}, true, nil
+	return xdm.Sequence{xdm.NewBoolean(nodes > 0)}, true, nil
 }

@@ -165,7 +165,7 @@ func TestSeededEvalMatchesUnseeded(t *testing.T) {
 	if xdm.SerializeSequence(unseeded) != xdm.SerializeSequence(seq) {
 		t.Fatal("seeded run diverged from doc-granular run")
 	}
-	full, _, err := e.ExecXQuery(q, false)
+	full, _, err := e.ExecXQueryOpts(q, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestSeededConjunctionStaysSound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, _, err := e.ExecXQuery(q, false)
+	full, _, err := e.ExecXQueryOpts(q, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestSeededConjunctionStaysSound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	afull, _, err := e.ExecXQuery(aq, false)
+	afull, _, err := e.ExecXQueryOpts(aq, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,7 @@ func TestNodeGranularEquivalenceProperty(t *testing.T) {
 		`for $d in db2-fn:xmlcolumn('MLORD.ORDDOC')/order where $d/lineitem[@price > 5] and $d/lineitem[@price < 3] return $d`,
 	}
 	for _, q := range queries {
-		full, _, err := e.ExecXQuery(q, false)
+		full, _, err := e.ExecXQueryOpts(q, ExecOptions{})
 		if err != nil {
 			t.Fatalf("%s full scan: %v", q, err)
 		}
@@ -117,11 +117,11 @@ func TestNodeGranularConcurrentMutation(t *testing.T) {
 			}
 			id := 2000 + i%10
 			ins := fmt.Sprintf(`insert into orders values (%d, '<order><lineitem price="%d"/></order>')`, id, 90+i%40)
-			if _, _, err := e.ExecSQL(ins, false); err != nil {
+			if _, _, err := e.ExecSQLOpts(ins, ExecOptions{}); err != nil {
 				t.Error(err)
 				return
 			}
-			if _, _, err := e.ExecSQL(fmt.Sprintf(`delete from orders where ordid = %d`, id), false); err != nil {
+			if _, _, err := e.ExecSQLOpts(fmt.Sprintf(`delete from orders where ordid = %d`, id), ExecOptions{}); err != nil {
 				t.Error(err)
 				return
 			}

@@ -177,7 +177,7 @@ func TestSemiJoinValuesFreshPerExecution(t *testing.T) {
 	if err := e.Prepare(q, LangSQL, true); err != nil {
 		t.Fatal(err)
 	}
-	res1, _, err := e.ExecSQL(q, true)
+	res1, _, err := e.ExecSQLOpts(q, ExecOptions{UseIndexes: true})
 	if err != nil {
 		t.Fatal(err)
 	}

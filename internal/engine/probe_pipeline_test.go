@@ -46,7 +46,7 @@ func TestProbePipelineDeterminism(t *testing.T) {
 	if sstats.Probes != 2 {
 		t.Fatalf("probes = %d, want 2", sstats.Probes)
 	}
-	full, _, err := e.ExecXQuery(q, false)
+	full, _, err := e.ExecXQueryOpts(q, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,14 +76,14 @@ func TestProbePipelineDeterminism(t *testing.T) {
 // visited, labels annotated, hits counted in the registry.
 func TestProbeCacheVisibleInStatsAndMetrics(t *testing.T) {
 	e, q := twoProbeDB(t, 60)
-	_, cold, err := e.ExecXQuery(q, true)
+	_, cold, err := e.ExecXQueryOpts(q, ExecOptions{UseIndexes: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cold.KeysVisited == 0 {
 		t.Fatal("cold run must visit keys")
 	}
-	_, warm, err := e.ExecXQuery(q, true)
+	_, warm, err := e.ExecXQueryOpts(q, ExecOptions{UseIndexes: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestProbeCacheVisibleInStatsAndMetrics(t *testing.T) {
 
 	// A document insert invalidates: the next run scans again.
 	mustSQL(t, e, `insert into orders values (999, '<order><lineitem><price>150</price></lineitem></order>')`)
-	res, after, err := e.ExecXQuery(q, true)
+	res, after, err := e.ExecXQueryOpts(q, ExecOptions{UseIndexes: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestExplainShowsProbeCacheState(t *testing.T) {
 	if !strings.Contains(rep, "probe cache: cold") || strings.Contains(rep, "probe cache: hit") {
 		t.Fatalf("fresh plan must be cold:\n%s", rep)
 	}
-	if _, _, err := e.ExecXQuery(q, true); err != nil {
+	if _, _, err := e.ExecXQueryOpts(q, ExecOptions{UseIndexes: true}); err != nil {
 		t.Fatal(err)
 	}
 	rep, err = e.Explain(q)
@@ -151,7 +151,7 @@ func TestExplainShowsProbeCacheState(t *testing.T) {
 // an uncached run after a cached one must still match.
 func TestNoProbeCacheOptionBypasses(t *testing.T) {
 	e, q := twoProbeDB(t, 40)
-	if _, _, err := e.ExecXQuery(q, true); err != nil { // warm the cache
+	if _, _, err := e.ExecXQueryOpts(q, ExecOptions{UseIndexes: true}); err != nil { // warm the cache
 		t.Fatal(err)
 	}
 	_, stats, err := e.ExecXQueryOpts(q, ExecOptions{UseIndexes: true, NoProbeCache: true})

@@ -76,8 +76,8 @@ func TestDefinition1OnRandomQueries(t *testing.T) {
 		path := paths[r.Intn(len(paths))]
 		pred := preds()
 		q := shapes[r.Intn(len(shapes))](path, pred)
-		full, _, err1 := e.ExecXQuery(q, false)
-		idx, _, err2 := e.ExecXQuery(q, true)
+		full, _, err1 := e.ExecXQueryOpts(q, ExecOptions{})
+		idx, _, err2 := e.ExecXQueryOpts(q, ExecOptions{UseIndexes: true})
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("error divergence for %s:\n  full: %v\n  idx:  %v", q, err1, err2)
 		}
@@ -116,8 +116,8 @@ func TestDefinition1OnRandomSQL(t *testing.T) {
 	}
 	for trial := 0; trial < 60; trial++ {
 		q := templates[r.Intn(len(templates))]()
-		full, _, err1 := e.ExecSQL(q, false)
-		idx, _, err2 := e.ExecSQL(q, true)
+		full, _, err1 := e.ExecSQLOpts(q, ExecOptions{})
+		idx, _, err2 := e.ExecSQLOpts(q, ExecOptions{UseIndexes: true})
 		if err1 != nil || err2 != nil {
 			t.Fatalf("error for %s: %v %v", q, err1, err2)
 		}
@@ -139,7 +139,7 @@ func TestDefinition1OnRandomSQL(t *testing.T) {
 func TestConcurrentReaders(t *testing.T) {
 	e := newPaperDB(t, 150)
 	createLiPrice(t, e)
-	want, _, err := e.ExecXQuery(`fn:count(db2-fn:xmlcolumn('ORDERS.ORDDOC')//lineitem[@price > 100])`, true)
+	want, _, err := e.ExecXQueryOpts(`fn:count(db2-fn:xmlcolumn('ORDERS.ORDDOC')//lineitem[@price > 100])`, ExecOptions{UseIndexes: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestConcurrentReaders(t *testing.T) {
 			defer wg.Done()
 			for k := 0; k < 10; k++ {
 				useIdx := (id+k)%2 == 0
-				got, _, err := e.ExecXQuery(`fn:count(db2-fn:xmlcolumn('ORDERS.ORDDOC')//lineitem[@price > 100])`, useIdx)
+				got, _, err := e.ExecXQueryOpts(`fn:count(db2-fn:xmlcolumn('ORDERS.ORDDOC')//lineitem[@price > 100])`, ExecOptions{UseIndexes: useIdx})
 				if err != nil {
 					errs <- err
 					return

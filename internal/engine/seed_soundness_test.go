@@ -35,11 +35,11 @@ func newMultiLineitemDB(t *testing.T) *Engine {
 // serialized results — the invariant every seeding strategy must keep.
 func checkSeedSound(t *testing.T, e *Engine, q string) {
 	t.Helper()
-	full, _, err := e.ExecXQuery(q, false)
+	full, _, err := e.ExecXQueryOpts(q, ExecOptions{})
 	if err != nil {
 		t.Fatalf("full: %v", err)
 	}
-	idx, istats, err := e.ExecXQuery(q, true)
+	idx, istats, err := e.ExecXQueryOpts(q, ExecOptions{UseIndexes: true})
 	if err != nil {
 		t.Fatalf("indexed: %v", err)
 	}
@@ -83,7 +83,7 @@ func TestSeedSameBracketStillIntersects(t *testing.T) {
 	e := newMultiLineitemDB(t)
 	const q = `for $d in db2-fn:xmlcolumn('ORDERS.ORDDOC')/order where $d/lineitem[@price > 5 and @price < 9] return $d`
 	checkSeedSound(t, e, q)
-	_, stats, err := e.ExecXQuery(q, true)
+	_, stats, err := e.ExecXQueryOpts(q, ExecOptions{UseIndexes: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,7 +102,7 @@ func (s *Stats) Summary() string {
 func (pl probePlan) statsDelta(r *probeOutcome) Stats {
 	// Probe and key counts record even for failed or non-probeable
 	// outcomes: the index work that ran before the error is real work.
-	s := Stats{Probes: r.probes, KeysVisited: r.visited}
+	s := Stats{Probes: r.stats.Probes, KeysVisited: r.stats.KeysVisited}
 	if r.err != nil || !r.ok {
 		return s
 	}

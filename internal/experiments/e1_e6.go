@@ -15,13 +15,13 @@ func E1PredicateTypes(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, _, err := e.ExecSQL(`CREATE INDEX li_price_str ON orders(orddoc) USING XMLPATTERN '//lineitem/@price' AS varchar`, false); err != nil {
+	if _, _, err := e.ExecSQLOpts(`CREATE INDEX li_price_str ON orders(orddoc) USING XMLPATTERN '//lineitem/@price' AS varchar`, engine.ExecOptions{}); err != nil {
 		return nil, err
 	}
-	if _, _, err := e.ExecSQL(`CREATE INDEX o_custid ON orders(orddoc) USING XMLPATTERN '//custid' AS double`, false); err != nil {
+	if _, _, err := e.ExecSQLOpts(`CREATE INDEX o_custid ON orders(orddoc) USING XMLPATTERN '//custid' AS double`, engine.ExecOptions{}); err != nil {
 		return nil, err
 	}
-	if _, _, err := e.ExecSQL(`CREATE INDEX c_custid ON customer(cdoc) USING XMLPATTERN '/customer/id' AS double`, false); err != nil {
+	if _, _, err := e.ExecSQLOpts(`CREATE INDEX c_custid ON customer(cdoc) USING XMLPATTERN '/customer/id' AS double`, engine.ExecOptions{}); err != nil {
 		return nil, err
 	}
 	if err := loadDocs(e, "customer", workload.Customers(50, "", 2)); err != nil {
@@ -109,7 +109,7 @@ func E3Joins(cfg Config) (*Table, error) {
 		`CREATE INDEX o_custid ON orders(orddoc) USING XMLPATTERN '//custid' AS double`,
 		`CREATE INDEX p_id ON products(id)`,
 	} {
-		if _, _, err := e.ExecSQL(ddl, false); err != nil {
+		if _, _, err := e.ExecSQLOpts(ddl, engine.ExecOptions{}); err != nil {
 			return nil, err
 		}
 	}
@@ -117,7 +117,7 @@ func E3Joins(cfg Config) (*Table, error) {
 		return nil, err
 	}
 	for _, p := range workload.Products(50) {
-		if _, _, err := e.ExecSQL(fmt.Sprintf(`insert into products values ('%s', '%s')`, p[0], p[1]), false); err != nil {
+		if _, _, err := e.ExecSQLOpts(fmt.Sprintf(`insert into products values ('%s', '%s')`, p[0], p[1]), engine.ExecOptions{}); err != nil {
 			return nil, err
 		}
 	}
@@ -148,21 +148,21 @@ func E3Joins(cfg Config) (*Table, error) {
 		`create table orders (ordid integer, orddoc XML)`,
 		`create table products (id varchar(13), name varchar(32))`,
 	} {
-		if _, _, err := hazard.ExecSQL(ddl, false); err != nil {
+		if _, _, err := hazard.ExecSQLOpts(ddl, engine.ExecOptions{}); err != nil {
 			return nil, err
 		}
 	}
-	if _, _, err := hazard.ExecSQL(`insert into products values ('17', 'widget')`, false); err != nil {
+	if _, _, err := hazard.ExecSQLOpts(`insert into products values ('17', 'widget')`, engine.ExecOptions{}); err != nil {
 		return nil, err
 	}
-	if _, _, err := hazard.ExecSQL(`insert into orders values
-		(1, '<order><lineitem><product><id>17</id></product></lineitem><lineitem><product><id>18</id></product></lineitem></order>')`, false); err != nil {
+	if _, _, err := hazard.ExecSQLOpts(`insert into orders values
+		(1, '<order><lineitem><product><id>17</id></product></lineitem><lineitem><product><id>18</id></product></lineitem></order>')`, engine.ExecOptions{}); err != nil {
 		return nil, err
 	}
-	_, _, err14 := hazard.ExecSQL(`SELECT p.name FROM products p, orders o
-		WHERE p.id = XMLCast(XMLQuery('$order//lineitem/product/id' passing o.orddoc as "order") as VARCHAR(13))`, false)
-	q13res, _, err13 := hazard.ExecSQL(`SELECT p.name FROM products p, orders o
-		WHERE XMLExists('$order//lineitem/product[id eq $pid]' passing o.orddoc as "order", p.id as "pid")`, false)
+	_, _, err14 := hazard.ExecSQLOpts(`SELECT p.name FROM products p, orders o
+		WHERE p.id = XMLCast(XMLQuery('$order//lineitem/product/id' passing o.orddoc as "order") as VARCHAR(13))`, engine.ExecOptions{})
+	q13res, _, err13 := hazard.ExecSQLOpts(`SELECT p.name FROM products p, orders o
+		WHERE XMLExists('$order//lineitem/product[id eq $pid]' passing o.orddoc as "order", p.id as "pid")`, engine.ExecOptions{})
 	if err13 != nil {
 		return nil, err13
 	}
@@ -253,7 +253,7 @@ func E6Construction(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, _, err := e.ExecSQL(`CREATE INDEX prod_id ON orders(orddoc) USING XMLPATTERN '//lineitem/product/id' AS varchar`, false); err != nil {
+	if _, _, err := e.ExecSQLOpts(`CREATE INDEX prod_id ON orders(orddoc) USING XMLPATTERN '//lineitem/product/id' AS varchar`, engine.ExecOptions{}); err != nil {
 		return nil, err
 	}
 	t := &Table{
@@ -275,12 +275,12 @@ func E6Construction(cfg Config) (*Table, error) {
 
 	// The five hazards on crafted documents.
 	h := engine.New()
-	if _, _, err := h.ExecSQL(`create table orders (ordid integer, orddoc XML)`, false); err != nil {
+	if _, _, err := h.ExecSQLOpts(`create table orders (ordid integer, orddoc XML)`, engine.ExecOptions{}); err != nil {
 		return nil, err
 	}
-	if _, _, err := h.ExecSQL(`insert into orders values
+	if _, _, err := h.ExecSQLOpts(`insert into orders values
 		(1, '<order><lineitem quantity="1"><product><id>p1</id><id>p2</id></product></lineitem></order>'),
-		(2, '<order><lineitem quantity="2"><product price="10"/><product price="20"/></lineitem></order>')`, false); err != nil {
+		(2, '<order><lineitem quantity="2"><product price="10"/><product price="20"/></lineitem></order>')`, engine.ExecOptions{}); err != nil {
 		return nil, err
 	}
 	viewQuery := func(pid string) string {

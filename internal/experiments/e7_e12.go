@@ -16,7 +16,7 @@ func E7Namespaces(cfg Config) (*Table, error) {
 		`create table customer (cid integer, cdoc XML)`,
 		`create table orders (ordid integer, orddoc XML)`,
 	} {
-		if _, _, err := e.ExecSQL(ddl, false); err != nil {
+		if _, _, err := e.ExecSQLOpts(ddl, engine.ExecOptions{}); err != nil {
 			return nil, err
 		}
 	}
@@ -39,10 +39,10 @@ func E7Namespaces(cfg Config) (*Table, error) {
 		PaperRef: "§3.7, Tip 10 (Query 28)", Headers: runHeaders,
 	}
 	// Round 1: only the namespace-less indexes exist — nothing eligible.
-	if _, _, err := e.ExecSQL(`CREATE INDEX c_nation ON customer(cdoc) USING XMLPATTERN '//nation' AS double`, false); err != nil {
+	if _, _, err := e.ExecSQLOpts(`CREATE INDEX c_nation ON customer(cdoc) USING XMLPATTERN '//nation' AS double`, engine.ExecOptions{}); err != nil {
 		return nil, err
 	}
-	if _, _, err := e.ExecSQL(`CREATE INDEX li_price ON orders(orddoc) USING XMLPATTERN '//lineitem/@price' AS double`, false); err != nil {
+	if _, _, err := e.ExecSQLOpts(`CREATE INDEX li_price ON orders(orddoc) USING XMLPATTERN '//lineitem/@price' AS double`, engine.ExecOptions{}); err != nil {
 		return nil, err
 	}
 	t.Rows = append(t.Rows,
@@ -55,7 +55,7 @@ func E7Namespaces(cfg Config) (*Table, error) {
 		`CREATE INDEX c_nation_ns2 ON customer(cdoc) USING XMLPATTERN '//*:nation' AS double`,
 		`CREATE INDEX li_price_ns ON orders(orddoc) USING XMLPATTERN '//@price' AS double`,
 	} {
-		if _, _, err := e.ExecSQL(ddl, false); err != nil {
+		if _, _, err := e.ExecSQLOpts(ddl, engine.ExecOptions{}); err != nil {
 			return nil, err
 		}
 	}
@@ -73,16 +73,16 @@ func E7Namespaces(cfg Config) (*Table, error) {
 func E8TextNodes(cfg Config) (*Table, error) {
 	n := cfg.docs()
 	e := engine.New()
-	if _, _, err := e.ExecSQL(`create table orders (ordid integer, orddoc XML)`, false); err != nil {
+	if _, _, err := e.ExecSQLOpts(`create table orders (ordid integer, orddoc XML)`, engine.ExecOptions{}); err != nil {
 		return nil, err
 	}
 	if err := loadOrders(e, workload.TextPrices(n, 0.2, 9)); err != nil {
 		return nil, err
 	}
-	if _, _, err := e.ExecSQL(`CREATE INDEX PRICE_TEXT ON orders.orddoc USING XMLPATTERN '//price' AS varchar`, false); err != nil {
+	if _, _, err := e.ExecSQLOpts(`CREATE INDEX PRICE_TEXT ON orders.orddoc USING XMLPATTERN '//price' AS varchar`, engine.ExecOptions{}); err != nil {
 		return nil, err
 	}
-	if _, _, err := e.ExecSQL(`CREATE INDEX PRICE_TEXT_ALIGNED ON orders.orddoc USING XMLPATTERN '//price/text()' AS varchar`, false); err != nil {
+	if _, _, err := e.ExecSQLOpts(`CREATE INDEX PRICE_TEXT_ALIGNED ON orders.orddoc USING XMLPATTERN '//price/text()' AS varchar`, engine.ExecOptions{}); err != nil {
 		return nil, err
 	}
 	t := &Table{
@@ -112,7 +112,7 @@ func E9Attributes(cfg Config) (*Table, error) {
 		`CREATE INDEX all_elems ON orders(orddoc) USING XMLPATTERN '//*' AS double`,
 		`CREATE INDEX all_nodes ON orders(orddoc) USING XMLPATTERN '//node()' AS double`,
 	} {
-		if _, _, err := e.ExecSQL(ddl, false); err != nil {
+		if _, _, err := e.ExecSQLOpts(ddl, engine.ExecOptions{}); err != nil {
 			return nil, err
 		}
 	}
@@ -123,7 +123,7 @@ func E9Attributes(cfg Config) (*Table, error) {
 		PaperRef: "§3.9, Tip 12", Headers: runHeaders,
 	}
 	t.Rows = append(t.Rows, compareRuns(e, "@price with //* and //node() only", q, false))
-	if _, _, err := e.ExecSQL(`CREATE INDEX all_attrs ON orders(orddoc) USING XMLPATTERN '//@*' AS double`, false); err != nil {
+	if _, _, err := e.ExecSQLOpts(`CREATE INDEX all_attrs ON orders(orddoc) USING XMLPATTERN '//@*' AS double`, engine.ExecOptions{}); err != nil {
 		return nil, err
 	}
 	t.Rows = append(t.Rows,
@@ -140,13 +140,13 @@ func E9Attributes(cfg Config) (*Table, error) {
 func E10Between(cfg Config) (*Table, error) {
 	n := cfg.docs()
 	e := engine.New()
-	if _, _, err := e.ExecSQL(`create table orders (ordid integer, orddoc XML)`, false); err != nil {
+	if _, _, err := e.ExecSQLOpts(`create table orders (ordid integer, orddoc XML)`, engine.ExecOptions{}); err != nil {
 		return nil, err
 	}
 	if err := loadOrders(e, workload.MultiPriceOrders(n, 100, 200, 11)); err != nil {
 		return nil, err
 	}
-	if _, _, err := e.ExecSQL(`CREATE INDEX price_el ON orders(orddoc) USING XMLPATTERN '//price' AS double`, false); err != nil {
+	if _, _, err := e.ExecSQLOpts(`CREATE INDEX price_el ON orders(orddoc) USING XMLPATTERN '//price' AS double`, engine.ExecOptions{}); err != nil {
 		return nil, err
 	}
 	t := &Table{
@@ -213,14 +213,14 @@ func E10Between(cfg Config) (*Table, error) {
 func E11TolerantIndexes(cfg Config) (*Table, error) {
 	n := cfg.docs()
 	e := engine.New()
-	if _, _, err := e.ExecSQL(`create table addresses (id integer, doc XML)`, false); err != nil {
+	if _, _, err := e.ExecSQLOpts(`create table addresses (id integer, doc XML)`, engine.ExecOptions{}); err != nil {
 		return nil, err
 	}
 	for _, ddl := range []string{
 		`CREATE INDEX zip_d ON addresses(doc) USING XMLPATTERN '//zip' AS double`,
 		`CREATE INDEX zip_s ON addresses(doc) USING XMLPATTERN '//zip' AS varchar`,
 	} {
-		if _, _, err := e.ExecSQL(ddl, false); err != nil {
+		if _, _, err := e.ExecSQLOpts(ddl, engine.ExecOptions{}); err != nil {
 			return nil, err
 		}
 	}
@@ -281,7 +281,7 @@ func E12Scaling(cfg Config) (*Table, error) {
 
 	for _, size := range []int{base / 4, base / 2, base, base * 2} {
 		e := engine.New()
-		if _, _, err := e.ExecSQL(`create table orders (ordid integer, orddoc XML)`, false); err != nil {
+		if _, _, err := e.ExecSQLOpts(`create table orders (ordid integer, orddoc XML)`, engine.ExecOptions{}); err != nil {
 			return nil, err
 		}
 		spec := workload.DefaultOrders(size)
@@ -289,7 +289,7 @@ func E12Scaling(cfg Config) (*Table, error) {
 		if err := loadOrders(e, workload.Orders(spec)); err != nil {
 			return nil, err
 		}
-		if _, _, err := e.ExecSQL(`CREATE INDEX li_price ON orders(orddoc) USING XMLPATTERN '//lineitem/@price' AS double`, false); err != nil {
+		if _, _, err := e.ExecSQLOpts(`CREATE INDEX li_price ON orders(orddoc) USING XMLPATTERN '//lineitem/@price' AS double`, engine.ExecOptions{}); err != nil {
 			return nil, err
 		}
 		row := compareRuns(e, fmt.Sprintf("%d docs", size), query, false)
@@ -298,7 +298,7 @@ func E12Scaling(cfg Config) (*Table, error) {
 	}
 	for _, sel := range []float64{0.01, 0.10, 0.33, 0.90} {
 		e := engine.New()
-		if _, _, err := e.ExecSQL(`create table orders (ordid integer, orddoc XML)`, false); err != nil {
+		if _, _, err := e.ExecSQLOpts(`create table orders (ordid integer, orddoc XML)`, engine.ExecOptions{}); err != nil {
 			return nil, err
 		}
 		spec := workload.DefaultOrders(base)
@@ -306,7 +306,7 @@ func E12Scaling(cfg Config) (*Table, error) {
 		if err := loadOrders(e, workload.Orders(spec)); err != nil {
 			return nil, err
 		}
-		if _, _, err := e.ExecSQL(`CREATE INDEX li_price ON orders(orddoc) USING XMLPATTERN '//lineitem/@price' AS double`, false); err != nil {
+		if _, _, err := e.ExecSQLOpts(`CREATE INDEX li_price ON orders(orddoc) USING XMLPATTERN '//lineitem/@price' AS double`, engine.ExecOptions{}); err != nil {
 			return nil, err
 		}
 		row := compareRuns(e, fmt.Sprintf("%d docs", base), query, false)

@@ -139,7 +139,7 @@ func ordersEngine(n int, withIndex bool) (*engine.Engine, error) {
 		`create table products (id varchar(13), name varchar(32))`,
 	}
 	for _, d := range ddl {
-		if _, _, err := e.ExecSQL(d, false); err != nil {
+		if _, _, err := e.ExecSQLOpts(d, engine.ExecOptions{}); err != nil {
 			return nil, err
 		}
 	}
@@ -147,7 +147,7 @@ func ordersEngine(n int, withIndex bool) (*engine.Engine, error) {
 		return nil, err
 	}
 	if withIndex {
-		if _, _, err := e.ExecSQL(`CREATE INDEX li_price ON orders(orddoc) USING XMLPATTERN '//lineitem/@price' AS double`, false); err != nil {
+		if _, _, err := e.ExecSQLOpts(`CREATE INDEX li_price ON orders(orddoc) USING XMLPATTERN '//lineitem/@price' AS double`, engine.ExecOptions{}); err != nil {
 			return nil, err
 		}
 	}
@@ -162,7 +162,7 @@ func loadOrders(e *engine.Engine, docs []string) error {
 func loadDocs(e *engine.Engine, table string, docs []string) error {
 	for i, d := range docs {
 		sql := fmt.Sprintf(`insert into %s values (%d, '%s')`, table, i, strings.ReplaceAll(d, "'", "''"))
-		if _, _, err := e.ExecSQL(sql, false); err != nil {
+		if _, _, err := e.ExecSQLOpts(sql, engine.ExecOptions{}); err != nil {
 			return fmt.Errorf("doc %d: %w", i, err)
 		}
 	}
@@ -185,7 +185,7 @@ func timeXQ(e *engine.Engine, q string, useIndexes bool) measured {
 	var best measured
 	for i := 0; i < timingRuns; i++ {
 		start := time.Now()
-		seq, stats, err := e.ExecXQuery(q, useIndexes)
+		seq, stats, err := e.ExecXQueryOpts(q, engine.ExecOptions{UseIndexes: useIndexes})
 		m := measured{rows: len(seq), elapsed: time.Since(start), stats: stats, err: err}
 		if err != nil {
 			return m
@@ -201,7 +201,7 @@ func timeSQL(e *engine.Engine, q string, useIndexes bool) measured {
 	var best measured
 	for i := 0; i < timingRuns; i++ {
 		start := time.Now()
-		res, stats, err := e.ExecSQL(q, useIndexes)
+		res, stats, err := e.ExecSQLOpts(q, engine.ExecOptions{UseIndexes: useIndexes})
 		m := measured{elapsed: time.Since(start), stats: stats, err: err}
 		if err != nil {
 			return m

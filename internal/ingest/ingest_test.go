@@ -102,11 +102,11 @@ func TestLoadDirMatchesPerRowInsert(t *testing.T) {
 		{Range: xmlindex.Equality(dbl(30.5))},
 		{},
 	} {
-		be, err := bxi.Index.Scan(probe)
+		be, _, _, err := bxi.Index.NodeList(probe)
 		if err != nil {
 			t.Fatal(err)
 		}
-		re, err := rxi.Index.Scan(probe)
+		re, _, _, err := rxi.Index.NodeList(probe)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -330,13 +330,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // one-shot writes (DDL, INSERT) execute unprepared so their unique
 // texts do not churn the LRU.
 func (s *Server) execute(req QueryRequest, opts xqdb.QueryOptions) (*xqdb.Result, *xqdb.Stats, error) {
+	isSQL, preparable := sqlHead(req.Query)
 	lang := strings.ToLower(req.Language)
 	if lang == "" {
-		lang = detectLanguage(req.Query)
+		lang = "xquery"
+		if isSQL {
+			lang = "sql"
+		}
 	}
 	switch lang {
 	case "sql":
-		if req.NoPrepare || !preparableSQL(req.Query) {
+		if req.NoPrepare || !preparable {
 			return s.db.ExecSQLOpts(req.Query, opts)
 		}
 		stmt, err := s.db.Prepare(req.Query)
@@ -358,30 +362,22 @@ func (s *Server) execute(req QueryRequest, opts xqdb.QueryOptions) (*xqdb.Result
 	}
 }
 
-// sqlHeads are the keywords that start a SQL/XML statement; anything
-// else is treated as XQuery.
+// sqlHeads maps each keyword that starts a SQL/XML statement to
+// whether caching the statement's plan pays off: reads repeat, writes
+// and DDL are one-shot and would only occupy a plan-cache slot.
 var sqlHeads = map[string]bool{
-	"select": true, "create": true, "drop": true, "insert": true,
-	"values": true, "explain": true,
+	"select": true, "values": true, "explain": true,
+	"create": false, "drop": false, "insert": false, "delete": false,
 }
 
-func detectLanguage(q string) string {
+// sqlHead classifies a statement by its first keyword: whether it is
+// SQL/XML (anything else is treated as XQuery when the request names no
+// language) and whether to run it through a prepared plan. A statement
+// named as SQL whose head the table does not know stays preparable.
+func sqlHead(q string) (isSQL, preparable bool) {
 	head, _, _ := strings.Cut(strings.TrimSpace(q), " ")
-	if sqlHeads[strings.ToLower(head)] {
-		return "sql"
-	}
-	return "xquery"
-}
-
-// preparableSQL reports whether caching the statement's plan pays off:
-// reads repeat, writes and DDL are one-shot.
-func preparableSQL(q string) bool {
-	head, _, _ := strings.Cut(strings.TrimSpace(q), " ")
-	switch strings.ToLower(head) {
-	case "create", "drop", "insert":
-		return false
-	}
-	return true
+	preparable, isSQL = sqlHeads[strings.ToLower(head)]
+	return isSQL, preparable || !isSQL
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {

@@ -40,6 +40,13 @@ const heavyQuery = `for $d in db2-fn:xmlcolumn("ORDERS.ORDDOC")
 	where some $x in $d//deepest satisfies $l/@price >= 0
 	return $l/product/id`
 
+// stragglerQuery outlasts every deadline a test sets, however fast the
+// machine: the tests that run it end it by cancellation and never wait
+// for its answer.
+const stragglerQuery = `count(for $i in (1 to 100000)
+	for $d in db2-fn:xmlcolumn("ORDERS.ORDDOC")
+	return $d//deepest)`
+
 // newRealServer starts a real listener with session wiring attached.
 func newRealServer(t testing.TB, s *Server) *httptest.Server {
 	t.Helper()
@@ -159,7 +166,7 @@ func TestClientDisconnectFreesSlot(t *testing.T) {
 	s := New(Config{DB: loadedDB(t, 200), Admission: admission.Config{MaxInFlight: 1}})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan *httptest.ResponseRecorder, 1)
-	go func() { done <- postCtx(t, s, ctx, "/query", QueryRequest{Query: heavyQuery}) }()
+	go func() { done <- postCtx(t, s, ctx, "/query", QueryRequest{Query: stragglerQuery}) }()
 	time.Sleep(20 * time.Millisecond)
 	cancel()
 	w := <-done
@@ -282,6 +289,53 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// planCacheSize reads the plancache.size gauge off /metrics.
+func planCacheSize(t *testing.T, s *Server) int64 {
+	t.Helper()
+	w := httptest.NewRecorder()
+	s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	var snap struct {
+		Gauges map[string]int64 `json:"gauges"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	return snap.Gauges["plancache.size"]
+}
+
+// Regression: a bare DELETE was sniffed as XQuery (a syntax error), and
+// with the language named it still went through Prepare, so every
+// one-shot delete occupied a plan-cache slot.
+func TestDeleteIsOneShotSQL(t *testing.T) {
+	s := New(Config{DB: loadedDB(t, 12)})
+	count := func() int {
+		w := post(t, s, "/query", QueryRequest{Query: `select ordid from orders`, NoPrepare: true})
+		if w.Code != http.StatusOK {
+			t.Fatalf("count status = %d: %s", w.Code, w.Body.String())
+		}
+		return len(decode[QueryResponse](t, w).Rows)
+	}
+	if got := count(); got != 12 {
+		t.Fatalf("rows before = %d, want 12", got)
+	}
+	before := planCacheSize(t, s)
+	for i := 0; i < 10; i++ {
+		req := QueryRequest{Query: fmt.Sprintf(`DELETE FROM orders WHERE ordid = %d`, i)}
+		if i%2 == 1 {
+			req.Language = "sql" // named or sniffed, the statement is one-shot
+		}
+		if w := post(t, s, "/query", req); w.Code != http.StatusOK {
+			t.Fatalf("delete %d: status = %d: %s", i, w.Code, w.Body.String())
+		}
+	}
+	if got := count(); got != 2 {
+		t.Fatalf("rows after 10 deletes = %d, want 2", got)
+	}
+	if after := planCacheSize(t, s); after != before {
+		t.Fatalf("plancache.size grew from %d to %d across 10 distinct deletes", before, after)
+	}
+}
+
 func TestHealthEndpoint(t *testing.T) {
 	s := New(Config{DB: loadedDB(t, 2)})
 	req := httptest.NewRequest(http.MethodGet, "/healthz", nil)
@@ -322,7 +376,7 @@ func TestDrainRejectsNewWork(t *testing.T) {
 func TestDrainForceCancelsStragglers(t *testing.T) {
 	s := New(Config{DB: loadedDB(t, 400)})
 	done := make(chan *httptest.ResponseRecorder, 1)
-	go func() { done <- post(t, s, "/query", QueryRequest{Query: heavyQuery, TimeoutMS: 60_000}) }()
+	go func() { done <- post(t, s, "/query", QueryRequest{Query: stragglerQuery, TimeoutMS: 60_000}) }()
 	waitInflight(t, s, 1)
 	// A drain deadline far shorter than the query forces cancellation.
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)

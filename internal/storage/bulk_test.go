@@ -67,9 +67,9 @@ func TestBulkAppendMatchesInsert(t *testing.T) {
 		}
 	}
 	v := xdm.NewDouble(110)
-	entries, err := xi.Index.Scan(xmlindex.Probe{Range: xmlindex.Equality(v)})
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("probe after bulk append: %v, %v", entries, err)
+	nodes, _, _, err := xi.Index.NodeList(xmlindex.Probe{Range: xmlindex.Equality(v)})
+	if err != nil || len(nodes) != 1 {
+		t.Fatalf("probe after bulk append: %v, %v", nodes, err)
 	}
 	// The reserved range really was consumed: a later insert gets a
 	// fresh id beyond it.

@@ -35,7 +35,7 @@ func orderDoc(i int) string {
 // scanAll dumps every entry of a structural (unbounded) probe.
 func scanAll(t *testing.T, ix *Index) []Entry {
 	t.Helper()
-	entries, err := ix.Scan(Probe{})
+	entries, _, err := scanEntries(ix, Probe{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +104,11 @@ func TestExtractorBulkEquivalence(t *testing.T) {
 		// a wrong remap mislabels paths and filters the wrong entries.
 		{QueryPattern: pattern.MustParse("/order/archive/lineitem/@price")},
 	} {
-		want, err := ref.Scan(p)
+		want, _, err := scanEntries(ref, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := bulk.Scan(p)
+		got, _, err := scanEntries(bulk, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +251,7 @@ func TestCommitBulkCarriesInstruments(t *testing.T) {
 		t.Fatalf("entries gauge = %d, want 1", got)
 	}
 	before := reg.Counter("btree.scans").Value()
-	if _, err := ix.Scan(Probe{NoCache: true}); err != nil {
+	if _, _, _, err := ix.NodeList(Probe{NoCache: true}); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter("btree.scans").Value(); got != before+1 {

@@ -1,8 +1,12 @@
 package xmlindex
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
+	"testing/quick"
 
 	"github.com/xqdb/xqdb/internal/metrics"
 	"github.com/xqdb/xqdb/internal/pattern"
@@ -31,7 +35,7 @@ func TestExclusiveLoAtMaxEncodingReturnsNothing(t *testing.T) {
 	insert(t, ix, 2, `<order><lineitem price="80"/></order>`)
 
 	p := Probe{Range: Range{Lo: allFFValue(), LoInc: false}}
-	entries, visited, err := ix.ScanStats(p)
+	entries, visited, err := scanEntries(ix, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,12 +46,19 @@ func TestExclusiveLoAtMaxEncodingReturnsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(docs) != 0 || visited != 0 || cached {
+	if docs == nil || len(docs) != 0 || visited != 0 || cached {
 		t.Fatalf("DocList past max encoding = %v (visited %d, cached %v), want empty", docs, visited, cached)
+	}
+	nodes, visited, cached, err := ix.NodeList(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nodes == nil || len(nodes) != 0 || visited != 0 || cached {
+		t.Fatalf("NodeList past max encoding = %v (visited %d, cached %v), want empty", nodes, visited, cached)
 	}
 	// The sentinel must not degrade the inclusive form: >= max-encoding
 	// scans normally (and here matches nothing real either).
-	if _, _, err := ix.ScanStats(Probe{Range: Range{Lo: allFFValue(), LoInc: true}}); err != nil {
+	if _, _, _, err := ix.NodeList(Probe{Range: Range{Lo: allFFValue(), LoInc: true}}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -247,24 +258,19 @@ func TestProbeCacheConfiguredCapacity(t *testing.T) {
 }
 
 // Distinct bounds must never collide to one cache key: the key uses
-// the result granularity, length-prefixed bound encodings, and the
-// query-pattern source.
+// length-prefixed bound encodings and the query-pattern source.
 func TestProbeKeyDistinguishesBounds(t *testing.T) {
 	keys := map[string]bool{
-		probeKey(granDocs, []byte{1, 2}, []byte{3}, nil):                     true,
-		probeKey(granDocs, []byte{1}, []byte{2, 3}, nil):                     true,
-		probeKey(granDocs, []byte{1, 2, 3}, nil, nil):                        true,
-		probeKey(granDocs, nil, []byte{1, 2, 3}, nil):                        true,
-		probeKey(granDocs, nil, nil, nil):                                    true,
-		probeKey(granDocs, nil, nil, pattern.MustParse("//lineitem/@price")): true,
-		probeKey(granDocs, nil, nil, pattern.MustParse("/order/lineitem")):   true,
-		// A node-granularity probe over identical bounds+pattern gets its
-		// own entry.
-		probeKey(granNodes, nil, nil, pattern.MustParse("/order/lineitem")): true,
-		probeKey(granNodes, nil, nil, nil):                                  true,
+		probeKey([]byte{1, 2}, []byte{3}, nil):                     true,
+		probeKey([]byte{1}, []byte{2, 3}, nil):                     true,
+		probeKey([]byte{1, 2, 3}, nil, nil):                        true,
+		probeKey(nil, []byte{1, 2, 3}, nil):                        true,
+		probeKey(nil, nil, nil):                                    true,
+		probeKey(nil, nil, pattern.MustParse("//lineitem/@price")): true,
+		probeKey(nil, nil, pattern.MustParse("/order/lineitem")):   true,
 	}
-	if len(keys) != 9 {
-		t.Fatalf("probe keys collided: %d distinct of 9", len(keys))
+	if len(keys) != 7 {
+		t.Fatalf("probe keys collided: %d distinct of 7", len(keys))
 	}
 }
 
@@ -290,10 +296,10 @@ func TestCachedListSurvivesCombination(t *testing.T) {
 	}
 }
 
-// NodeList decodes the matched entries' (docID, ordinal) pairs during
-// the same leaf walk DocList uses: the doc projection of the node list
-// must equal the DocList result on every probe shape, and the ordinals
-// must identify exactly the entries ScanStats reports.
+// NodeList decodes the matched entries' (docID, ordinal) pairs: the doc
+// projection of the node list must equal the DocList result on every
+// probe shape, and the ordinals must identify exactly the entries the
+// reference walk scanEntries reports.
 func TestNodeListMatchesScanEntries(t *testing.T) {
 	ix := liPrice(t)
 	insert(t, ix, 3, `<order><lineitem price="150"/><lineitem price="90"/></order>`)
@@ -310,7 +316,7 @@ func TestNodeListMatchesScanEntries(t *testing.T) {
 	}
 	for i, p := range probes {
 		p.NoCache = true
-		entries, _, err := ix.ScanStats(p)
+		entries, _, err := scanEntries(ix, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -349,79 +355,181 @@ func TestNodeListMatchesScanEntries(t *testing.T) {
 	}
 }
 
-// Regression for the granularity cache key: a NodeList probe and a
-// DocList probe over the same bounds+pattern must occupy distinct cache
-// entries — neither may be served the other's result — and the
-// node-entry gauge must track stores and evictions.
-func TestProbeCacheGranularityNoCollision(t *testing.T) {
-	ix := liPrice(t)
-	reg := metrics.NewRegistry()
-	ix.Instrument(reg)
-	insert(t, ix, 1, `<order><lineitem price="150"/></order>`)
-	insert(t, ix, 2, `<order><lineitem price="120"/><lineitem price="80"/></order>`)
-
+// DocList and NodeList are projections of one probe result, so they
+// share one cache entry: whichever runs first warms the other, and the
+// entry is evicted and invalidated once for both.
+func TestProbeCacheSharedAcrossProjections(t *testing.T) {
 	p := Probe{Range: Range{Lo: dbl(100), LoInc: false}}
-	docs, _, _, err := ix.DocList(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(docs) != 2 {
-		t.Fatalf("DocList = %v, want 2 docs", docs)
-	}
-	// The node probe after the doc probe must MISS (not be served the
-	// doc-granularity entry) and store its own entry.
-	nodes, visited, cached, err := ix.NodeList(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cached || visited == 0 {
-		t.Fatalf("NodeList after DocList must scan, got cached=%v visited=%d", cached, visited)
-	}
-	if len(nodes) != 2 {
-		t.Fatalf("NodeList = %v, want 2 node refs", nodes)
-	}
-	if got := reg.Snapshot().Gauges["probecache.node_entries"]; got != 1 {
-		t.Fatalf("probecache.node_entries = %d, want 1", got)
-	}
-	// Both granularities now hit, each its own entry.
-	if !ix.ProbeCached(p) || !ix.NodeListCached(p) {
-		t.Fatal("both granularities must be cached")
-	}
-	if _, _, cached, _ := ix.DocList(p); !cached {
-		t.Fatal("DocList must still hit its own entry")
-	}
-	if _, _, cached, _ := ix.NodeList(p); !cached {
-		t.Fatal("NodeList must hit its own entry")
-	}
-	// Shrinking the cache to one slot evicts the colder entry; the node
-	// gauge must follow whichever granularity was dropped.
-	ix.SetProbeCacheCapacity(1)
-	snap := reg.Snapshot()
-	if snap.Gauges["probecache.entries"] != 1 {
-		t.Fatalf("probecache.entries = %d after shrink, want 1", snap.Gauges["probecache.entries"])
-	}
-	if ix.NodeListCached(p) {
-		// The node entry survived: it must be the one counted.
-		if snap.Gauges["probecache.node_entries"] != 1 {
-			t.Fatalf("node entry survived but gauge = %d", snap.Gauges["probecache.node_entries"])
+	for _, nodeFirst := range []bool{false, true} {
+		ix := liPrice(t)
+		reg := metrics.NewRegistry()
+		ix.Instrument(reg)
+		insert(t, ix, 1, `<order><lineitem price="150"/></order>`)
+		insert(t, ix, 2, `<order><lineitem price="120"/><lineitem price="80"/></order>`)
+
+		var (
+			docs             postings.List
+			nodes            postings.NodeList
+			visited          int
+			dCached, nCached bool
+			err              error
+		)
+		runDocs := func() {
+			if docs, visited, dCached, err = ix.DocList(p); err != nil {
+				t.Fatal(err)
+			}
 		}
-	} else if snap.Gauges["probecache.node_entries"] != 0 {
-		t.Fatalf("node entry evicted but gauge = %d", snap.Gauges["probecache.node_entries"])
+		runNodes := func() {
+			if nodes, visited, nCached, err = ix.NodeList(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		first, second := runDocs, runNodes
+		if nodeFirst {
+			first, second = runNodes, runDocs
+		}
+		first()
+		if dCached || nCached || visited == 0 {
+			t.Fatalf("nodeFirst=%v: first probe must scan (visited %d)", nodeFirst, visited)
+		}
+		second()
+		if dCached == nCached || visited != 0 {
+			t.Fatalf("nodeFirst=%v: the other projection must hit the shared entry (doc cached %v, node cached %v, visited %d)",
+				nodeFirst, dCached, nCached, visited)
+		}
+		if len(docs) != 2 || len(nodes) != 2 {
+			t.Fatalf("nodeFirst=%v: docs %v nodes %v, want 2 and 2", nodeFirst, docs, nodes)
+		}
+		snap := reg.Snapshot()
+		if ix.cache.len() != 1 || snap.Gauges["probecache.entries"] != 1 {
+			t.Fatalf("nodeFirst=%v: %d entries (gauge %d), want one shared entry",
+				nodeFirst, ix.cache.len(), snap.Gauges["probecache.entries"])
+		}
+		if snap.Counters["probecache.hits"] != 1 || snap.Counters["probecache.misses"] != 1 {
+			t.Fatalf("nodeFirst=%v: hits %d misses %d, want 1 and 1", nodeFirst,
+				snap.Counters["probecache.hits"], snap.Counters["probecache.misses"])
+		}
+		// An entry-set change invalidates the one entry for both projections.
+		insert(t, ix, 3, `<order><lineitem price="130"/></order>`)
+		if ix.ProbeCached(p) {
+			t.Fatal("entry must report stale after an entry-set change")
+		}
+		runNodes()
+		if nCached || len(nodes) != 3 {
+			t.Fatalf("post-insert NodeList = %v (cached=%v), want 3 refs rescanned", nodes, nCached)
+		}
+		runDocs()
+		if !dCached || len(docs) != 3 {
+			t.Fatalf("post-insert DocList = %v (cached=%v), want 3 docs from the refilled entry", docs, dCached)
+		}
+		if got := reg.Snapshot().Counters["probecache.invalidations"]; got != 1 {
+			t.Fatalf("invalidations = %d, want 1", got)
+		}
 	}
-	// An entry-set change invalidates node entries like doc entries.
-	ix.SetProbeCacheCapacity(0)
+}
+
+// Stale-read property: after every insert and delete of a random
+// sequence, what the cache serves at either projection equals the
+// uncached answer, and the document list is the node list's projection.
+func TestProbeCacheNeverStaleProperty(t *testing.T) {
+	probes := []Probe{
+		{Range: Range{Lo: dbl(100)}},
+		{Range: Range{Lo: dbl(40), LoInc: true, Hi: dbl(115), HiInc: true}},
+		{Range: Equality(xdm.NewDouble(150))},
+		{},
+		{Range: Range{Lo: dbl(60)}, QueryPattern: pattern.MustParse("/order/lineitem/@price")},
+	}
+	check := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		ix := liPrice(t)
+		// From smaller than the probe set (evictions interleave with
+		// invalidations) to large enough to keep every entry.
+		ix.SetProbeCacheCapacity(3 + rng.Intn(4))
+		live := map[uint32]*xdm.Node{}
+		for step := 0; step < 40; step++ {
+			id := uint32(rng.Intn(8))
+			if doc, ok := live[id]; ok {
+				ix.DeleteDoc(id, doc)
+				delete(live, id)
+			} else {
+				// One item in four sits on a second concrete path, which the
+				// query-pattern probe rejects.
+				shape := `<order><lineitem price="%d"/><lineitem price="%d"/></order>`
+				if rng.Intn(4) == 0 {
+					shape = `<order><archive><lineitem price="%d"/></archive><lineitem price="%d"/></order>`
+				}
+				src := fmt.Sprintf(shape, 30*rng.Intn(7), 30*rng.Intn(7))
+				live[id] = insert(t, ix, id, src)
+			}
+			for _, pi := range rng.Perm(len(probes)) {
+				p := probes[pi]
+				fresh := p
+				fresh.NoCache = true
+				wantNodes, _, _, err := ix.NodeList(fresh)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantDocs, _, _, err := ix.DocList(fresh)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Alternate which projection touches the cache first.
+				var nodes postings.NodeList
+				var docs postings.List
+				if (step+pi)%2 == 0 {
+					nodes, _, _, err = ix.NodeList(p)
+					if err == nil {
+						docs, _, _, err = ix.DocList(p)
+					}
+				} else {
+					docs, _, _, err = ix.DocList(p)
+					if err == nil {
+						nodes, _, _, err = ix.NodeList(p)
+					}
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(nodes, wantNodes) || !slices.Equal(docs, wantDocs) || !slices.Equal(nodes.Docs(), docs) {
+					t.Logf("seed %d step %d probe %d: cached nodes %v docs %v, uncached nodes %v docs %v",
+						seed, step, pi, nodes, docs, wantNodes, wantDocs)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 25}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A cache hit hands out the stored lists: beyond deriving the key (the
+// bounds encoding and the key string) it allocates nothing, at either
+// projection.
+func TestProbeCacheHitAllocatesNothing(t *testing.T) {
+	ix := liPrice(t)
+	insert(t, ix, 1, `<order><lineitem price="150"/><lineitem price="130"/></order>`)
+	insert(t, ix, 2, `<order><lineitem price="120"/></order>`)
+	p := Probe{Range: Range{Lo: dbl(100), LoInc: true, Hi: dbl(160)}, QueryPattern: pattern.MustParse("/order/lineitem/@price")}
 	if _, _, _, err := ix.NodeList(p); err != nil {
 		t.Fatal(err)
 	}
-	insert(t, ix, 3, `<order><lineitem price="130"/></order>`)
-	if ix.NodeListCached(p) {
-		t.Fatal("node entry must report stale after an entry-set change")
-	}
-	after, _, cached, err := ix.NodeList(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cached || len(after) != 3 {
-		t.Fatalf("post-insert NodeList = %v (cached=%v), want 3 refs rescanned", after, cached)
+	keyAllocs := testing.AllocsPerRun(200, func() {
+		lo, hi, _, _ := ix.bounds(p.Range)
+		_ = probeKey(lo, hi, p.QueryPattern)
+	})
+	docAllocs := testing.AllocsPerRun(200, func() {
+		if docs, _, cached, _ := ix.DocList(p); !cached || len(docs) != 2 {
+			t.Fatalf("DocList = %v (cached=%v), want a 2-doc hit", docs, cached)
+		}
+	})
+	nodeAllocs := testing.AllocsPerRun(200, func() {
+		if nodes, _, cached, _ := ix.NodeList(p); !cached || len(nodes) != 3 {
+			t.Fatalf("NodeList = %v (cached=%v), want a 3-ref hit", nodes, cached)
+		}
+	})
+	if docAllocs != keyAllocs || nodeAllocs != keyAllocs {
+		t.Fatalf("cache hit allocates: DocList %.0f, NodeList %.0f, key derivation alone %.0f", docAllocs, nodeAllocs, keyAllocs)
 	}
 }

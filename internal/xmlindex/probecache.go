@@ -6,20 +6,20 @@ import (
 
 	"github.com/xqdb/xqdb/internal/metrics"
 	"github.com/xqdb/xqdb/internal/pattern"
-	"github.com/xqdb/xqdb/internal/postings"
 )
 
 // DefaultProbeCacheCap bounds the number of cached probe results per
 // index when no capacity is configured (Index.SetProbeCacheCapacity).
 const DefaultProbeCacheCap = 128
 
-// probeCache is a per-index LRU of probe results: the sorted document
-// list a (range, query-pattern) probe produced, stamped with the index
-// version it was computed against. A cached entry is served only while
-// the index version still matches; InsertDoc/DeleteDoc bump the version
-// whenever they change the entry set, so hits can never return stale
-// pre-filters. The cache has its own mutex — it is touched under the
-// index's read lock, where concurrent probes are the point.
+// probeCache is a per-index LRU of probe results: the node list a
+// (range, query-pattern) probe produced and its document projection,
+// stamped with the index version they were computed against. A cached
+// entry is served only while the index version still matches;
+// InsertDoc/DeleteDoc bump the version whenever they change the entry
+// set, so hits can never return stale pre-filters. The cache has its own
+// mutex — it is touched under the index's read lock, where concurrent
+// probes are the point.
 type probeCache struct {
 	mu       sync.Mutex
 	capacity int
@@ -29,19 +29,16 @@ type probeCache struct {
 	// Registry instruments shared across the indexes of one engine;
 	// nil-safe when the index lives outside an engine.
 	hits, misses, invalidations, evictions *metrics.Counter
-	entries, nodeEntries                   *metrics.Gauge
+	entries                                *metrics.Gauge
 }
 
-// probeCacheEntry holds one probe result at one granularity: a document
-// list (docs) or a node list (nodes), never both. The granularity is
-// part of the cache key, so a DocList probe and a NodeList probe over
-// the same bounds and pattern occupy distinct entries.
+// probeCacheEntry holds one probe result. DocList and NodeList are
+// projections of the same result, so a probe over given bounds and
+// pattern has one entry whichever of them filled it.
 type probeCacheEntry struct {
 	key     string
 	version uint64
-	docs    postings.List
-	nodes   postings.NodeList
-	node    bool
+	res     probeResult
 }
 
 func newProbeCache() *probeCache {
@@ -74,19 +71,18 @@ func (c *probeCache) instrument(reg *metrics.Registry) {
 	c.invalidations = reg.Counter("probecache.invalidations")
 	c.evictions = reg.Counter("probecache.evictions")
 	c.entries = reg.Gauge("probecache.entries")
-	c.nodeEntries = reg.Gauge("probecache.node_entries")
 }
 
-// lookup returns the live entry for key if it was computed against the
+// get returns the live result for key if it was computed against the
 // given index version; a stale entry is dropped and counted as an
 // invalidation.
-func (c *probeCache) lookup(key string, version uint64) (*probeCacheEntry, bool) {
+func (c *probeCache) get(key string, version uint64) (probeResult, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
 		c.misses.Inc()
-		return nil, false
+		return probeResult{}, false
 	}
 	ent := el.Value.(*probeCacheEntry)
 	if ent.version != version {
@@ -94,67 +90,28 @@ func (c *probeCache) lookup(key string, version uint64) (*probeCacheEntry, bool)
 		delete(c.items, key)
 		c.invalidations.Inc()
 		c.misses.Inc()
-		c.dropGauges(ent)
-		return nil, false
+		c.entries.Add(-1)
+		return probeResult{}, false
 	}
 	c.order.MoveToFront(el)
 	c.hits.Inc()
-	return ent, true
+	return ent.res, true
 }
 
-// get returns the cached document list for a doc-granularity key.
-func (c *probeCache) get(key string, version uint64) (postings.List, bool) {
-	ent, ok := c.lookup(key, version)
-	if !ok {
-		return nil, false
-	}
-	return ent.docs, true
-}
-
-// getNodes returns the cached node list for a node-granularity key.
-func (c *probeCache) getNodes(key string, version uint64) (postings.NodeList, bool) {
-	ent, ok := c.lookup(key, version)
-	if !ok {
-		return nil, false
-	}
-	return ent.nodes, true
-}
-
-// put stores a doc-granularity probe result, evicting the least recently
-// used entry past capacity.
-func (c *probeCache) put(key string, version uint64, docs postings.List) {
-	c.store(&probeCacheEntry{key: key, version: version, docs: docs})
-}
-
-// putNodes stores a node-granularity probe result.
-func (c *probeCache) putNodes(key string, version uint64, nodes postings.NodeList) {
-	c.store(&probeCacheEntry{key: key, version: version, nodes: nodes, node: true})
-}
-
-func (c *probeCache) store(ent *probeCacheEntry) {
+// put stores a probe result, evicting the least recently used entry past
+// capacity.
+func (c *probeCache) put(key string, version uint64, res probeResult) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[ent.key]; ok {
+	if el, ok := c.items[key]; ok {
 		old := el.Value.(*probeCacheEntry)
-		old.version, old.docs, old.nodes = ent.version, ent.docs, ent.nodes
+		old.version, old.res = version, res
 		c.order.MoveToFront(el)
 		return
 	}
-	c.items[ent.key] = c.order.PushFront(ent)
+	c.items[key] = c.order.PushFront(&probeCacheEntry{key: key, version: version, res: res})
 	c.entries.Add(1)
-	if ent.node {
-		c.nodeEntries.Add(1)
-	}
 	c.evictLocked()
-}
-
-// dropGauges decrements the entry gauges for one removed entry. Callers
-// hold c.mu.
-func (c *probeCache) dropGauges(ent *probeCacheEntry) {
-	c.entries.Add(-1)
-	if ent.node {
-		c.nodeEntries.Add(-1)
-	}
 }
 
 // evictLocked drops least-recently-used entries until the cache fits its
@@ -163,10 +120,9 @@ func (c *probeCache) evictLocked() {
 	for len(c.items) > c.capacity {
 		el := c.order.Back()
 		c.order.Remove(el)
-		ent := el.Value.(*probeCacheEntry)
-		delete(c.items, ent.key)
+		delete(c.items, el.Value.(*probeCacheEntry).key)
 		c.evictions.Inc()
-		c.dropGauges(ent)
+		c.entries.Add(-1)
 	}
 }
 
@@ -186,20 +142,11 @@ func (c *probeCache) len() int {
 	return len(c.items)
 }
 
-// Result granularities a probe key distinguishes. The granularity byte
-// leads the key so a NodeList probe and a DocList probe over identical
-// bounds and pattern can never collide on one cache entry.
-const (
-	granDocs  byte = 'd'
-	granNodes byte = 'n'
-)
-
-// probeKey builds the cache key for a probe: the result granularity,
-// the encoded B+Tree bounds (length-prefixed, so binary bounds cannot
-// collide across the separator), and the query-pattern source.
-func probeKey(gran byte, lo, hi []byte, pat *pattern.Pattern) string {
-	b := make([]byte, 0, len(lo)+len(hi)+17)
-	b = append(b, gran)
+// probeKey builds the cache key for a probe: the encoded B+Tree bounds
+// (length-prefixed, so binary bounds cannot collide across the
+// separator) and the query-pattern source.
+func probeKey(lo, hi []byte, pat *pattern.Pattern) string {
+	b := make([]byte, 0, len(lo)+len(hi)+16)
 	b = appendLenPrefixed(b, lo)
 	b = appendLenPrefixed(b, hi)
 	if pat != nil {

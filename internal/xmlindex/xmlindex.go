@@ -62,29 +62,27 @@ func (t Type) xdmType() xdm.Type {
 	}
 }
 
-// Entry identifies one indexed node.
-type Entry struct {
-	DocID  uint32
-	NodeID uint32
-}
-
 // Stats counts cumulative index activity since creation (or the last
-// ResetStats). Per-query accounting uses the counts ScanStats/DocList
+// ResetStats). Per-query accounting uses the counts NodeList/DocList
 // return instead — these totals are a monitoring aid only.
 type Stats struct {
-	Probes      int // number of Scan calls
+	Probes      int // number of probes
 	KeysVisited int // B+Tree entries touched across all probes
 	Entries     int // live entries
 }
 
-// Index is one XML value index. Probes (Scan, DocList) take the read lock,
-// so concurrent readers proceed in parallel; document insertion and
-// deletion take the write lock. The probe counters are atomics so read
-// locks never mutate shared state.
+// Index is one XML value index. Probes (NodeList, DocList) take the read
+// lock, so concurrent readers proceed in parallel; document insertion
+// and deletion take the write lock. The probe counters are atomics so
+// read locks never mutate shared state.
 type Index struct {
 	Name    string
 	Pattern *pattern.Pattern
 	Type    Type
+
+	// faultSite is the guard.Fault site name of a probe, built once so a
+	// probe served from the cache allocates nothing for it.
+	faultSite string
 
 	mu    sync.RWMutex
 	tree  *btree.Tree
@@ -114,9 +112,11 @@ type Index struct {
 
 // Instrument wires the index (and its B+Tree) into a metrics registry:
 // xmlindex.probes / xmlindex.keys_visited count probe activity across all
-// instrumented indexes, xmlindex.entries gauges the total live entries,
-// and the underlying tree feeds btree.scans / btree.keys_visited. Call
-// before the index is shared between goroutines.
+// instrumented indexes, xmlindex.nodes_decoded the node references every
+// cold (uncached) probe decodes — whichever of NodeList and DocList asked,
+// since both read the same decoded result — xmlindex.entries gauges the
+// total live entries, and the underlying tree feeds btree.scans /
+// btree.keys_visited. Call before the index is shared between goroutines.
 func (ix *Index) Instrument(reg *metrics.Registry) {
 	if reg == nil {
 		return
@@ -145,7 +145,8 @@ func (ix *Index) ProbeCacheCapacity() int {
 
 // New creates an empty index over the given pattern and type.
 func New(name string, pat *pattern.Pattern, typ Type) *Index {
-	return &Index{Name: name, Pattern: pat, Type: typ, tree: btree.New(), paths: newPathDict(), cache: newProbeCache()}
+	return &Index{Name: name, Pattern: pat, Type: typ, faultSite: "xmlindex.scan:" + name,
+		tree: btree.New(), paths: newPathDict(), cache: newProbeCache()}
 }
 
 // Version returns the entry-set version counter. It moves only when an
@@ -377,163 +378,22 @@ type Probe struct {
 	NoCache bool
 }
 
-// Scan runs a probe and returns the matching entries in key order.
-func (ix *Index) Scan(p Probe) ([]Entry, error) {
-	entries, _, err := ix.ScanStats(p)
-	return entries, err
+// probeResult is what one probe names: the matching node references in
+// (docID, ordinal) order, and their projection to distinct document ids —
+// the pre-filter I(P, D) of Definition 1. The projection is computed once,
+// when the result is decoded, so a cache hit hands out either view without
+// allocating. Both lists are shared with the cache and must not be mutated.
+type probeResult struct {
+	nodes postings.NodeList
+	docs  postings.List
 }
 
-// ScanStats is Scan plus the number of B+Tree keys this probe visited
-// (including entries the query-pattern restriction rejected). Returning
-// the count per probe — instead of accumulating it in shared index
-// counters a caller would have to read and reset — keeps concurrent
-// queries' statistics independent.
-func (ix *Index) ScanStats(p Probe) ([]Entry, int, error) {
-	if err := guard.Fault("xmlindex.scan:" + ix.Name); err != nil {
-		return nil, 0, fmt.Errorf("index %s: %w", ix.Name, err)
-	}
-	if err := p.Guard.Check(); err != nil {
-		return nil, 0, err
-	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	ix.probes.Add(1)
-	ix.mProbes.Inc()
-
-	lo, hi, empty, err := ix.bounds(p.Range)
-	if err != nil {
-		return nil, 0, err
-	}
-	if empty {
-		return nil, 0, nil
-	}
-	// Path verdict cache: pathID → matches query pattern.
-	verdicts := map[uint32]bool{} //xqvet:docset-ok keyed by pathID, a pattern-verdict cache, not a doc set
-	pathOK := func(id uint32) bool {
-		if p.QueryPattern == nil {
-			return true
-		}
-		v, ok := verdicts[id]
-		if !ok {
-			v = p.QueryPattern.Match(ix.paths.paths[id])
-			verdicts[id] = v
-		}
-		return v
-	}
-	var out []Entry
-	visited, err := ix.tree.ScanCheck(lo, hi,
-		func(int) error { return p.Guard.Check() },
-		func(key, _ []byte) bool {
-			pathID, docID, nodeID := ix.decodeSuffix(key)
-			if pathOK(pathID) {
-				out = append(out, Entry{DocID: docID, NodeID: nodeID})
-			}
-			return true
-		})
-	ix.keysVisited.Add(int64(visited))
-	ix.mKeys.Add(int64(visited))
-	if err != nil {
-		return nil, visited, err
-	}
-	return out, visited, nil
-}
-
-// docCollector is the btree.Visitor behind DocList: it streams document
-// ids straight off the B+Tree leaf walk. Keys are ordered
-// [value][pathID][docID][nodeID], so within one (value, path) run the
-// doc ids arrive ascending — comparing against the last appended id
-// strips those runs for free, and one sort+dedup at the end handles the
-// restarts across values and paths. No []Entry is materialized.
-type docCollector struct {
-	ix       *Index
-	pat      *pattern.Pattern
-	g        *guard.Guard
-	verdicts map[uint32]bool //xqvet:docset-ok pathID → pattern verdict, not a doc set
-	docs     []uint32
-}
-
-func (c *docCollector) Visit(key, _ []byte) bool {
-	pathID, docID, _ := c.ix.decodeSuffix(key)
-	if c.pat != nil {
-		v, ok := c.verdicts[pathID]
-		if !ok {
-			v = c.pat.Match(c.ix.paths.paths[pathID])
-			c.verdicts[pathID] = v
-		}
-		if !v {
-			return true
-		}
-	}
-	if n := len(c.docs); n > 0 && c.docs[n-1] == docID {
-		return true
-	}
-	c.docs = append(c.docs, docID)
-	return true
-}
-
-func (c *docCollector) Check(int) error { return c.g.Check() }
-
-// DocList runs a probe and returns the distinct matching document ids as
-// a sorted posting list — the document pre-filter I(P, D) of
-// Definition 1 — plus the visited-key count and whether the result came
-// from the probe cache (visited is 0 on a hit). The returned list is
-// shared with the cache and must not be mutated.
-func (ix *Index) DocList(p Probe) (postings.List, int, bool, error) {
-	if err := guard.Fault("xmlindex.scan:" + ix.Name); err != nil {
-		return nil, 0, false, fmt.Errorf("index %s: %w", ix.Name, err)
-	}
-	if err := p.Guard.Check(); err != nil {
-		return nil, 0, false, err
-	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	ix.probes.Add(1)
-	ix.mProbes.Inc()
-
-	lo, hi, empty, err := ix.bounds(p.Range)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	if empty {
-		return postings.List{}, 0, false, nil
-	}
-	version := ix.version.Load()
-	var key string
-	if !p.NoCache {
-		key = probeKey(granDocs, lo, hi, p.QueryPattern)
-		if docs, ok := ix.cache.get(key, version); ok {
-			return docs, 0, true, nil
-		}
-	}
-	c := docCollector{ix: ix, pat: p.QueryPattern, g: p.Guard}
-	if p.QueryPattern != nil {
-		c.verdicts = map[uint32]bool{} //xqvet:docset-ok pathID verdict cache, see the field
-	}
-	visited, err := ix.tree.ScanVisit(lo, hi, &c)
-	ix.keysVisited.Add(int64(visited))
-	ix.mKeys.Add(int64(visited))
-	if err != nil {
-		return nil, visited, false, err
-	}
-	// The collector never appends adjacent equals, and doc ids ascend
-	// within each (value, path) key run, so c.docs is a concatenation of
-	// strictly ascending runs — merged in O(n log runs), no full sort.
-	docs := postings.FromRuns(c.docs)
-	if !p.NoCache {
-		// Both version and the scan ran under the index read lock, so no
-		// insert or delete can have interleaved: the cached list is
-		// exactly the entry set at this version.
-		ix.cache.put(key, version, docs)
-	}
-	return docs, visited, false, nil
-}
-
-// nodeCollector is the btree.Visitor behind NodeList: it streams packed
+// collector is the btree.Visitor behind every probe: it streams packed
 // (docID, ordinal) references straight off the B+Tree leaf walk. Keys
 // are ordered [value][pathID][docID][nodeID], so within one (value,
 // path) run the packed suffixes arrive strictly ascending — one
 // run-merge at the end handles the restarts across values and paths.
-type nodeCollector struct {
+type collector struct {
 	ix       *Index
 	pat      *pattern.Pattern
 	g        *guard.Guard
@@ -541,7 +401,7 @@ type nodeCollector struct {
 	nodes    []uint64
 }
 
-func (c *nodeCollector) Visit(key, _ []byte) bool {
+func (c *collector) Visit(key, _ []byte) bool {
 	pathID, docID, nodeID := c.ix.decodeSuffix(key)
 	if c.pat != nil {
 		v, ok := c.verdicts[pathID]
@@ -557,22 +417,19 @@ func (c *nodeCollector) Visit(key, _ []byte) bool {
 	return true
 }
 
-func (c *nodeCollector) Check(int) error { return c.g.Check() }
+func (c *collector) Check(int) error { return c.g.Check() }
 
-// NodeList runs a probe at node granularity: every matching index entry
-// contributes its packed (docID, ordinal) reference, so the caller knows
-// not just which documents hold a hit but exactly which nodes matched.
-// Returns the sorted node list, the visited-key count, and whether the
-// result came from the probe cache (visited is 0 on a hit). Cached under
-// a granularity-tagged key, so node and doc results over the same bounds
-// and pattern never collide. The returned list is shared with the cache
-// and must not be mutated.
-func (ix *Index) NodeList(p Probe) (postings.NodeList, int, bool, error) {
-	if err := guard.Fault("xmlindex.scan:" + ix.Name); err != nil {
-		return nil, 0, false, fmt.Errorf("index %s: %w", ix.Name, err)
+// probe runs one index scan request: the result, the number of B+Tree
+// keys visited (including entries the query-pattern restriction
+// rejected; 0 on a cache hit), and whether the result came from the
+// probe cache. The count is returned per probe so concurrent queries'
+// statistics stay independent.
+func (ix *Index) probe(p Probe) (probeResult, int, bool, error) {
+	if err := guard.Fault(ix.faultSite); err != nil {
+		return probeResult{}, 0, false, fmt.Errorf("index %s: %w", ix.Name, err)
 	}
 	if err := p.Guard.Check(); err != nil {
-		return nil, 0, false, err
+		return probeResult{}, 0, false, err
 	}
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -581,20 +438,20 @@ func (ix *Index) NodeList(p Probe) (postings.NodeList, int, bool, error) {
 
 	lo, hi, empty, err := ix.bounds(p.Range)
 	if err != nil {
-		return nil, 0, false, err
+		return probeResult{}, 0, false, err
 	}
 	if empty {
-		return postings.NodeList{}, 0, false, nil
+		return probeResult{nodes: postings.NodeList{}, docs: postings.List{}}, 0, false, nil
 	}
 	version := ix.version.Load()
 	var key string
 	if !p.NoCache {
-		key = probeKey(granNodes, lo, hi, p.QueryPattern)
-		if nodes, ok := ix.cache.getNodes(key, version); ok {
-			return nodes, 0, true, nil
+		key = probeKey(lo, hi, p.QueryPattern)
+		if res, ok := ix.cache.get(key, version); ok {
+			return res, 0, true, nil
 		}
 	}
-	c := nodeCollector{ix: ix, pat: p.QueryPattern, g: p.Guard}
+	c := collector{ix: ix, pat: p.QueryPattern, g: p.Guard}
 	if p.QueryPattern != nil {
 		c.verdicts = map[uint32]bool{} //xqvet:docset-ok pathID verdict cache, see the field
 	}
@@ -602,42 +459,56 @@ func (ix *Index) NodeList(p Probe) (postings.NodeList, int, bool, error) {
 	ix.keysVisited.Add(int64(visited))
 	ix.mKeys.Add(int64(visited))
 	if err != nil {
-		return nil, visited, false, err
+		return probeResult{}, visited, false, err
 	}
 	ix.mNodes.Add(int64(len(c.nodes)))
 	// Each (value, path) key run emits strictly ascending packed refs —
 	// a node is indexed once per (value, path), so within a run there are
 	// no duplicates and NodesFromRuns merges the run restarts.
 	nodes := postings.NodesFromRuns(c.nodes)
+	res := probeResult{nodes: nodes, docs: nodes.Docs()}
 	if !p.NoCache {
 		// Version and scan both ran under the index read lock, so no
-		// insert or delete can have interleaved: the cached list is
+		// insert or delete can have interleaved: the cached result is
 		// exactly the entry set at this version.
-		ix.cache.putNodes(key, version, nodes)
+		ix.cache.put(key, version, res)
 	}
-	return nodes, visited, false, nil
+	return res, visited, false, nil
 }
 
-// ProbeCached reports whether the probe's doc-granularity result is
-// currently served from the cache (the EXPLAIN "probe cache" line). It
-// records no cache traffic and does not disturb the LRU order.
+// NodeList runs a probe at node granularity: every matching index entry
+// contributes its packed (docID, ordinal) reference, so the caller knows
+// not just which documents hold a hit but exactly which nodes matched.
+// Returns the sorted node list, the visited-key count, and whether the
+// result came from the probe cache (visited is 0 on a hit). The returned
+// list is shared with the cache and must not be mutated.
+func (ix *Index) NodeList(p Probe) (postings.NodeList, int, bool, error) {
+	res, visited, cached, err := ix.probe(p)
+	return res.nodes, visited, cached, err
+}
+
+// DocList runs a probe and returns the distinct matching document ids as
+// a sorted posting list — the document pre-filter I(P, D) of
+// Definition 1, always equal to NodeList(p).Docs() — plus the
+// visited-key count and whether the result came from the probe cache
+// (visited is 0 on a hit). The returned list is shared with the cache
+// and must not be mutated.
+func (ix *Index) DocList(p Probe) (postings.List, int, bool, error) {
+	res, visited, cached, err := ix.probe(p)
+	return res.docs, visited, cached, err
+}
+
+// ProbeCached reports whether the probe's result is currently served
+// from the cache (the EXPLAIN "probe cache" line). It records no cache
+// traffic and does not disturb the LRU order.
 func (ix *Index) ProbeCached(p Probe) bool {
-	return ix.probeCached(granDocs, p)
-}
-
-// NodeListCached is ProbeCached for the node-granularity entry.
-func (ix *Index) NodeListCached(p Probe) bool {
-	return ix.probeCached(granNodes, p)
-}
-
-func (ix *Index) probeCached(gran byte, p Probe) bool {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	lo, hi, empty, err := ix.bounds(p.Range)
 	if err != nil || empty {
 		return false
 	}
-	return ix.cache.peek(probeKey(gran, lo, hi, p.QueryPattern), ix.version.Load())
+	return ix.cache.peek(probeKey(lo, hi, p.QueryPattern), ix.version.Load())
 }
 
 // bounds converts a value range to B+Tree key bounds. empty reports a

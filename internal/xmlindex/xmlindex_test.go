@@ -30,12 +30,41 @@ func insert(t *testing.T, ix *Index, docID uint32, src string) *xdm.Node {
 
 func dbl(f float64) *xdm.Value { v := xdm.NewDouble(f); return &v }
 
+// Entry identifies one indexed node.
+type Entry struct {
+	DocID  uint32
+	NodeID uint32
+}
+
+// scanEntries is the reference probe: it walks the B+Tree range with a
+// plain closure and returns the matching entries in key order plus the
+// visited-key count, sharing nothing with probe but the bounds and the
+// key layout. It bypasses the guard, the cache and the counters.
+func scanEntries(ix *Index, p Probe) ([]Entry, int, error) {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	lo, hi, empty, err := ix.bounds(p.Range)
+	if err != nil || empty {
+		return nil, 0, err
+	}
+	var out []Entry
+	visited, err := ix.tree.ScanCheck(lo, hi, nil, func(key, _ []byte) bool {
+		pathID, docID, nodeID := ix.decodeSuffix(key)
+		if p.QueryPattern == nil || p.QueryPattern.Match(ix.paths.paths[pathID]) {
+			out = append(out, Entry{DocID: docID, NodeID: nodeID})
+		}
+		return true
+	})
+	return out, visited, err
+}
+
 // docSetStats is the map-shaped reference probe these tests (and the
 // DocList differential test) assert against: distinct matching doc ids
-// derived entry-by-entry from ScanStats, independent of the posting-list
-// path. Tests check membership, so the map shape is the convenient one.
+// derived entry-by-entry from scanEntries, independent of the
+// posting-list path. Tests check membership, so the map shape is the
+// convenient one.
 func docSetStats(ix *Index, p Probe) (map[uint32]bool, int, error) {
-	entries, visited, err := ix.ScanStats(p)
+	entries, visited, err := scanEntries(ix, p)
 	if err != nil {
 		return nil, visited, err
 	}

@@ -6,7 +6,6 @@
 package xmlparse
 
 import (
-	"encoding/xml"
 	"errors"
 	"fmt"
 	"strings"
@@ -48,112 +47,19 @@ func (l Limits) bytes() int {
 	return DefaultMaxBytes
 }
 
-// Parse parses one XML document and returns its document node. White-space
-// -only text between elements is preserved when preserveSpace is true;
-// collection loading uses false, which mirrors typical database ingestion
-// with boundary-whitespace stripping.
+// Parse parses one XML document and returns its document node.
+// White-space-only text between elements is dropped, which mirrors
+// typical database ingestion with boundary-whitespace stripping.
 func Parse(input string) (*xdm.Node, error) {
-	return parse(input, false, Limits{})
+	return ParseLimited(input, Limits{})
 }
 
 // ParseLimited parses with explicit resource limits; limit failures wrap
-// ErrLimit.
+// ErrLimit. The input's length is known up front, so an oversized
+// document is refused before any of it is scanned.
 func ParseLimited(input string, lim Limits) (*xdm.Node, error) {
-	return parse(input, false, lim)
-}
-
-// ParsePreserve parses keeping all whitespace text nodes.
-func ParsePreserve(input string) (*xdm.Node, error) {
-	return parse(input, true, Limits{})
-}
-
-func parse(input string, preserveSpace bool, lim Limits) (*xdm.Node, error) {
 	if len(input) > lim.bytes() {
 		return nil, fmt.Errorf("xml parse: document is %d bytes (max %d): %w", len(input), lim.bytes(), ErrLimit)
 	}
-	maxDepth := lim.depth()
-	dec := xml.NewDecoder(strings.NewReader(input))
-	doc := xdm.NewDocument()
-	stack := []*xdm.Node{doc}
-	for {
-		tok, err := dec.Token()
-		if err != nil {
-			if err.Error() == "EOF" {
-				break
-			}
-			return nil, fmt.Errorf("xml parse: %w", err)
-		}
-		top := stack[len(stack)-1]
-		switch t := tok.(type) {
-		case xml.StartElement:
-			el := &xdm.Node{
-				Kind: xdm.ElementNode,
-				Name: xdm.QName{Space: t.Name.Space, Local: t.Name.Local},
-			}
-			for _, a := range t.Attr {
-				if a.Name.Space == "xmlns" || (a.Name.Space == "" && a.Name.Local == "xmlns") {
-					continue // namespace declarations are not attribute nodes in XDM
-				}
-				el.AppendAttr(&xdm.Node{
-					Kind: xdm.AttributeNode,
-					Name: xdm.QName{Space: a.Name.Space, Local: a.Name.Local},
-					Text: a.Value,
-				})
-			}
-			top.AppendChild(el)
-			stack = append(stack, el)
-			if len(stack)-1 > maxDepth {
-				return nil, fmt.Errorf("xml parse: nesting exceeds %d levels: %w", maxDepth, ErrLimit)
-			}
-		case xml.EndElement:
-			if len(stack) == 1 {
-				return nil, fmt.Errorf("xml parse: unbalanced end element %s", t.Name.Local)
-			}
-			stack = stack[:len(stack)-1]
-		case xml.CharData:
-			s := string(t)
-			if !preserveSpace && strings.TrimSpace(s) == "" {
-				continue
-			}
-			// Merge with a preceding text node: the decoder splits
-			// around entity references, but XDM never has adjacent
-			// text siblings.
-			if n := len(top.Children); n > 0 && top.Children[n-1].Kind == xdm.TextNode {
-				top.Children[n-1].Text += s
-				continue
-			}
-			if top.Kind == xdm.DocumentNode && strings.TrimSpace(s) == "" {
-				continue
-			}
-			top.AppendChild(&xdm.Node{Kind: xdm.TextNode, Text: s})
-		case xml.Comment:
-			top.AppendChild(&xdm.Node{Kind: xdm.CommentNode, Text: string(t)})
-		case xml.ProcInst:
-			if t.Target == "xml" {
-				continue // the XML declaration is not a PI node
-			}
-			top.AppendChild(&xdm.Node{
-				Kind: xdm.ProcessingInstructionNode,
-				Name: xdm.QName{Local: t.Target},
-				Text: string(t.Inst),
-			})
-		}
-	}
-	if len(stack) != 1 {
-		return nil, fmt.Errorf("xml parse: %d unclosed elements", len(stack)-1)
-	}
-	roots := 0
-	for _, c := range doc.Children {
-		switch c.Kind {
-		case xdm.ElementNode:
-			roots++
-		case xdm.TextNode:
-			return nil, fmt.Errorf("xml parse: character data outside the root element")
-		}
-	}
-	if roots != 1 {
-		return nil, fmt.Errorf("xml parse: document must have exactly one root element, found %d", roots)
-	}
-	doc.Renumber()
-	return doc, nil
+	return newParser(len(input)).Parse(strings.NewReader(input), lim)
 }

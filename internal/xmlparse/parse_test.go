@@ -116,13 +116,6 @@ func TestParseWhitespaceHandling(t *testing.T) {
 	if n := len(doc.Children[0].Children); n != 1 {
 		t.Errorf("stripped parse children = %d, want 1", n)
 	}
-	pdoc, err := ParsePreserve(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(pdoc.Children[0].Children); n != 3 {
-		t.Errorf("preserving parse children = %d, want 3", n)
-	}
 }
 
 func TestParseErrors(t *testing.T) {

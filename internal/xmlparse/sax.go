@@ -1,21 +1,18 @@
-// Streaming SAX-style parser. ParseReader produces exactly the tree
-// Parse produces — same namespace resolution, same entity expansion,
-// same strictness — but works over an io.Reader without materializing
-// the input as a string, enforces Limits.MaxBytes incrementally as
-// bytes are consumed (not up front on a fully-read buffer), assigns
-// preorder ordinals inline instead of via a final Renumber pass, and
-// recycles name/node/buffer allocations across documents through a
-// reusable StreamParser. Ingestion uses it so memory stays bounded by
-// the tree being built, never by the raw input size.
+// Streaming SAX-style parser: the one XML parser in the package. Parse
+// and ParseLimited run it over their string; ParseReader and a reusable
+// StreamParser run it over an io.Reader without materializing the input,
+// enforcing Limits.MaxBytes incrementally as bytes are consumed. It
+// assigns preorder ordinals inline, and a reused StreamParser recycles
+// name/node/buffer allocations across documents — ingestion uses one
+// per worker so memory stays bounded by the tree being built, never by
+// the raw input size.
 //
-// Behavioral parity with Parse (which sits on encoding/xml) is load-
-// bearing: bulk-loaded corpora must be byte-identical to per-row
-// inserts. The scanner therefore mirrors the stdlib decoder's observed
-// semantics byte for byte — which bytes may appear in names, where
-// \r\n collapses to \n, how `]]>` outside CDATA fails, how namespace
-// bindings scope and unwind, which entities expand — and the
-// differential tests in sax_test.go plus FuzzParseReaderDifferential
-// hold the two parsers to the same accept set and identical trees.
+// The scanner mirrors encoding/xml's observed semantics byte for byte —
+// which bytes may appear in names, where \r\n collapses to \n, how
+// `]]>` outside CDATA fails, how namespace bindings scope and unwind,
+// which entities expand. sax_test.go keeps an encoding/xml token loop as
+// the oracle: TestParseReaderDifferential and FuzzParseReaderDifferential
+// hold the parser to its accept set and to identical trees.
 package xmlparse
 
 import (
@@ -61,6 +58,7 @@ type StreamParser struct {
 	nsUndo  []nsBinding
 	attrs   []savedAttr
 	arena   []xdm.Node
+	slab    int // nodes in the last arena allocation
 }
 
 // nameInfo is the interned form of one raw (prefix-qualified) name.
@@ -83,10 +81,21 @@ type savedAttr struct {
 	val  string
 }
 
+// streamBufBytes is the read buffer of a parser meant for reuse: large
+// enough to amortize Read calls over a bulk load's streams.
+const streamBufBytes = 32 << 10
+
 // NewStreamParser returns a parser ready for repeated Parse calls.
 func NewStreamParser() *StreamParser {
+	return newParser(streamBufBytes)
+}
+
+// newParser returns a parser whose read buffer suits inputs of about
+// size bytes, so a 300-byte INSERT takes its input in one Read and pays
+// for 300 bytes of buffer, not for a bulk load's.
+func newParser(size int) *StreamParser {
 	return &StreamParser{
-		buf:      make([]byte, 0, 32<<10),
+		buf:      make([]byte, 0, min(max(size, 1), streamBufBytes)),
 		nextByte: -1,
 		names:    make(map[string]*nameInfo),
 		ns:       make(map[string]string),
@@ -678,9 +687,12 @@ func (p *StreamParser) resolveSpace(space, local string, isElement bool) string 
 
 // newNode hands out zeroed nodes from slab allocations so a document's
 // worth of nodes costs a handful of allocations instead of one each.
+// Slabs double from 8 to 256 nodes: a stored tree keeps its slabs alive,
+// so a ten-node row must not pin a bulk load's 35 KB slab.
 func (p *StreamParser) newNode() *xdm.Node {
 	if len(p.arena) == 0 {
-		p.arena = make([]xdm.Node, 256)
+		p.slab = min(max(2*p.slab, 8), 256)
+		p.arena = make([]xdm.Node, p.slab)
 	}
 	n := &p.arena[0]
 	p.arena = p.arena[1:]

@@ -1,6 +1,7 @@
 package xmlparse
 
 import (
+	"encoding/xml"
 	"errors"
 	"fmt"
 	"io"
@@ -39,6 +40,100 @@ func dumpTree(n *xdm.Node) string {
 	}
 	walk(n, 0)
 	return b.String()
+}
+
+// oracleParse is the reference parser, an encoding/xml token loop. It
+// shares no scanning code with StreamParser, which is what makes the
+// differential tests below meaningful.
+func oracleParse(input string, lim Limits) (*xdm.Node, error) {
+	if len(input) > lim.bytes() {
+		return nil, fmt.Errorf("xml parse: document is %d bytes (max %d): %w", len(input), lim.bytes(), ErrLimit)
+	}
+	maxDepth := lim.depth()
+	dec := xml.NewDecoder(strings.NewReader(input))
+	doc := xdm.NewDocument()
+	stack := []*xdm.Node{doc}
+	for {
+		tok, err := dec.Token()
+		if err != nil {
+			if err.Error() == "EOF" {
+				break
+			}
+			return nil, fmt.Errorf("xml parse: %w", err)
+		}
+		top := stack[len(stack)-1]
+		switch t := tok.(type) {
+		case xml.StartElement:
+			el := &xdm.Node{
+				Kind: xdm.ElementNode,
+				Name: xdm.QName{Space: t.Name.Space, Local: t.Name.Local},
+			}
+			for _, a := range t.Attr {
+				if a.Name.Space == "xmlns" || (a.Name.Space == "" && a.Name.Local == "xmlns") {
+					continue // namespace declarations are not attribute nodes in XDM
+				}
+				el.AppendAttr(&xdm.Node{
+					Kind: xdm.AttributeNode,
+					Name: xdm.QName{Space: a.Name.Space, Local: a.Name.Local},
+					Text: a.Value,
+				})
+			}
+			top.AppendChild(el)
+			stack = append(stack, el)
+			if len(stack)-1 > maxDepth {
+				return nil, fmt.Errorf("xml parse: nesting exceeds %d levels: %w", maxDepth, ErrLimit)
+			}
+		case xml.EndElement:
+			if len(stack) == 1 {
+				return nil, fmt.Errorf("xml parse: unbalanced end element %s", t.Name.Local)
+			}
+			stack = stack[:len(stack)-1]
+		case xml.CharData:
+			s := string(t)
+			if strings.TrimSpace(s) == "" {
+				continue
+			}
+			// Merge with a preceding text node: the decoder splits
+			// around entity references, but XDM never has adjacent
+			// text siblings.
+			if n := len(top.Children); n > 0 && top.Children[n-1].Kind == xdm.TextNode {
+				top.Children[n-1].Text += s
+				continue
+			}
+			if top.Kind == xdm.DocumentNode && strings.TrimSpace(s) == "" {
+				continue
+			}
+			top.AppendChild(&xdm.Node{Kind: xdm.TextNode, Text: s})
+		case xml.Comment:
+			top.AppendChild(&xdm.Node{Kind: xdm.CommentNode, Text: string(t)})
+		case xml.ProcInst:
+			if t.Target == "xml" {
+				continue // the XML declaration is not a PI node
+			}
+			top.AppendChild(&xdm.Node{
+				Kind: xdm.ProcessingInstructionNode,
+				Name: xdm.QName{Local: t.Target},
+				Text: string(t.Inst),
+			})
+		}
+	}
+	if len(stack) != 1 {
+		return nil, fmt.Errorf("xml parse: %d unclosed elements", len(stack)-1)
+	}
+	roots := 0
+	for _, c := range doc.Children {
+		switch c.Kind {
+		case xdm.ElementNode:
+			roots++
+		case xdm.TextNode:
+			return nil, fmt.Errorf("xml parse: character data outside the root element")
+		}
+	}
+	if roots != 1 {
+		return nil, fmt.Errorf("xml parse: document must have exactly one root element, found %d", roots)
+	}
+	doc.Renumber()
+	return doc, nil
 }
 
 // differentialCases is the accept/reject battery: every construct the
@@ -168,25 +263,33 @@ var differentialCases = []string{
 	`<a b="`,
 }
 
-// TestParseReaderDifferential holds ParseReader to Parse's exact accept
-// set: both must agree on success, and on success the trees must be
-// indistinguishable (same kinds, names, text, ordinals, parentage).
-// One StreamParser is reused across the battery, and every document is
-// re-parsed through a one-byte-at-a-time reader so buffer refill
+// TestParseReaderDifferential holds the parser to the oracle's exact
+// accept set: both must agree on success, and on success the trees must
+// be indistinguishable (same kinds, names, text, ordinals, parentage).
+// One StreamParser is reused across the battery, every document also
+// goes through the string entry point (a parser sized to the input),
+// and is re-parsed through a one-byte-at-a-time reader so buffer refill
 // boundaries land inside every token kind.
 func TestParseReaderDifferential(t *testing.T) {
 	sp := NewStreamParser()
 	for _, src := range differentialCases {
-		want, werr := Parse(src)
+		want, werr := oracleParse(src, Limits{})
 		got, gerr := sp.Parse(strings.NewReader(src), Limits{})
 		if (werr == nil) != (gerr == nil) {
-			t.Fatalf("accept mismatch on %q:\n  Parse err: %v\n  ParseReader err: %v", src, werr, gerr)
+			t.Fatalf("accept mismatch on %q:\n  oracle err: %v\n  ParseReader err: %v", src, werr, gerr)
+		}
+		str, serr := Parse(src)
+		if (werr == nil) != (serr == nil) {
+			t.Fatalf("accept mismatch on %q:\n  oracle err: %v\n  Parse err: %v", src, werr, serr)
 		}
 		if werr != nil {
 			continue
 		}
 		if dw, dg := dumpTree(want), dumpTree(got); dw != dg {
-			t.Fatalf("tree mismatch on %q:\n--- Parse ---\n%s--- ParseReader ---\n%s", src, dw, dg)
+			t.Fatalf("tree mismatch on %q:\n--- oracle ---\n%s--- ParseReader ---\n%s", src, dw, dg)
+		}
+		if dw, ds := dumpTree(want), dumpTree(str); dw != ds {
+			t.Fatalf("tree mismatch on %q:\n--- oracle ---\n%s--- Parse ---\n%s", src, dw, ds)
 		}
 		slow, serr := sp.Parse(iotest.OneByteReader(strings.NewReader(src)), Limits{})
 		if serr != nil {
@@ -287,10 +390,13 @@ func FuzzParseReaderDifferential(f *testing.F) {
 	f.Add(`<a>&lt;&amp;&gt;</a>`)
 	f.Fuzz(func(t *testing.T, src string) {
 		lim := Limits{MaxDepth: 64, MaxBytes: 1 << 16}
-		want, werr := ParseLimited(src, lim)
-		got, gerr := ParseReader(strings.NewReader(src), lim)
+		want, werr := oracleParse(src, lim)
+		got, gerr := ParseLimited(src, lim)
 		if (werr == nil) != (gerr == nil) {
-			t.Fatalf("accept mismatch on %q: Parse err=%v ParseReader err=%v", src, werr, gerr)
+			t.Fatalf("accept mismatch on %q: oracle err=%v ParseLimited err=%v", src, werr, gerr)
+		}
+		if errors.Is(werr, ErrLimit) != errors.Is(gerr, ErrLimit) {
+			t.Fatalf("error kind mismatch on %q: oracle err=%v ParseLimited err=%v", src, werr, gerr)
 		}
 		if werr != nil {
 			return
