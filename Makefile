@@ -48,9 +48,11 @@ bench: build
 	$(GO) run ./cmd/benchjson -o $(BENCHOUT) bench.out
 
 # bench-gate: the small fixed subset CI *gates* on (the bench-gate job),
-# unlike the full non-gating sweep above. Three runs of four stable pairs
-# — the synopsis short-circuit, the probe-pipeline combine, the
-# index-only answer, and the seeded re-evaluation — are collapsed to a
+# unlike the full non-gating sweep above. Three runs of three stable
+# pairs — the synopsis short-circuit (SynopsisOff/On), the index-only
+# answer (DocGranular/NodeGranular), and the seeded re-evaluation
+# (FullWalk/Seeded) — plus one unpaired kernel, the sorted-postings
+# combine (ProbePipeline_CombinePostingLists), are collapsed to a
 # per-benchmark median by `benchjson -agg median`; the CI job then diffs
 # BENCH_GATE.json against the previous run's artifact with
 # `benchdiff -fail-over 25`.

@@ -8,10 +8,13 @@
 //   - unprepared vs prepared ("Unprepared" ↔ "Prepared")
 //   - serial vs parallel     ("par=1" ↔ "par=8")
 //   - cold vs cached probes  ("Cold" ↔ "Cached")
+//   - per-row vs streaming   ("PerRowLoader" ↔ "StreamingPipeline")
 //   - synopsis off vs on     ("SynopsisOff" ↔ "SynopsisOn")
+//   - doc vs node granular   ("DocGranular" ↔ "NodeGranular")
+//   - full walk vs seeded    ("FullWalk" ↔ "Seeded")
 //
 // Each pair records the speedup ratio baseline_ns / variant_ns — above 1.0
-// means the variant (indexed, prepared, parallel) is faster. Usage:
+// means the variant (indexed, prepared, parallel, ...) is faster. Usage:
 //
 //	go test -run '^$' -bench . -benchmem . > bench.txt
 //	go run ./cmd/benchjson -o BENCH_PR2.json bench.txt

@@ -603,7 +603,7 @@ func (e *Engine) runProbe(g *guard.Guard, pl probePlan, o ExecOptions, t0 time.T
 		}
 		out.docs = postings.Union(lists...)
 		out.label = fmt.Sprintf("%s, %d values)", strings.TrimSuffix(pl.label, ")"), len(values))
-	} else if len(pl.seeds) > 0 && !o.NoNodeSeeds && !e.annotatedColumn(pl) {
+	} else if len(pl.seeds) > 0 && !o.NoNodeSeeds && !annotatedColumn(pl.table, pl.coll) {
 		// Node granularity: the same probe also names the matched nodes,
 		// so the hits can seed re-evaluation. The document projection
 		// keeps the Definition-1 pre-filter identical to the doc-granular
@@ -628,18 +628,6 @@ func (e *Engine) runProbe(g *guard.Guard, pl probePlan, o ExecOptions, t0 time.T
 	return out
 }
 
-// annotatedColumn reports whether the probed column currently stores any
-// schema-annotated document. Such a document can make the evaluated
-// comparison raise a dynamic error the tolerant index never recorded;
-// pruning the operand walk to index hits would silently suppress it, so
-// node-granular probes fall back to document granularity — the same gate
-// answerIndexOnly applies, checked per execution because it is a
-// property of the data, not the schema version.
-func (e *Engine) annotatedColumn(pl probePlan) bool {
-	dot := strings.IndexByte(pl.coll, '.')
-	return dot >= 0 && pl.table.HasAnnotatedDocs(pl.coll[dot+1:])
-}
-
 // runProbeSafe is runProbe with panic containment: the probe workers run
 // off the query goroutine, where the boundary recoverPanic cannot reach.
 func (e *Engine) runProbeSafe(g *guard.Guard, pl probePlan, o ExecOptions, t0 time.Time) (out probeOutcome) {
@@ -653,22 +641,26 @@ func (e *Engine) runProbeSafe(g *guard.Guard, pl probePlan, o ExecOptions, t0 ti
 	return e.runProbe(g, pl, o, t0)
 }
 
-// runProbes executes the plans — independent plans concurrently, bounded
-// by ExecOptions.Parallelism — and combines the resulting posting lists:
-// within one binding occurrence, probe results intersect; across
-// occurrences of the same collection they union (a document needed by one
-// binding must survive even if another binding's predicate rejects it).
-// A collection with an occurrence that has no probe cannot be
-// pre-filtered at all.
+// runProbes executes the plans and turns their results into the query's
+// Definition-1 pre-filters — per collection for XQuery bindings, per FROM
+// item for SQL rows — and the evaluator seeds of node-granular probes.
 func (e *Engine) runProbes(g *guard.Guard, plans []probePlan, a *core.Analysis, o ExecOptions, stats *Stats) (map[string]postings.List, map[int]postings.List, xquery.Seeds, error) {
-	type occKey struct {
-		coll string
-		occ  int
+	outcomes, err := e.runProbePlans(g, plans, o, stats)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	type scopePat struct {
-		scope   int
-		pattern string
+	seeds, err := e.seedProbes(g, plans, outcomes, stats)
+	if err != nil {
+		return nil, nil, nil, err
 	}
+	collSets, rowSets := combineProbes(plans, outcomes, a)
+	return collSets, rowSets, seeds, nil
+}
+
+// runProbePlans executes the plans — independent plans concurrently,
+// bounded by ExecOptions.Parallelism — and folds the outcomes into stats
+// serially in plan order. The first outcome error in plan order aborts.
+func (e *Engine) runProbePlans(g *guard.Guard, plans []probePlan, o ExecOptions, stats *Stats) ([]probeOutcome, error) {
 	outcomes := make([]probeOutcome, len(plans))
 	if par := parallelism(o.Parallelism); par > 1 && len(plans) > 1 {
 		if par > len(plans) {
@@ -697,24 +689,103 @@ func (e *Engine) runProbes(g *guard.Guard, plans []probePlan, a *core.Analysis, 
 			outcomes[i] = e.runProbeSafe(g, pl, o, stats.Trace.now())
 		}
 	}
-
-	// Merge serially in plan order.
-	occSets := map[occKey]postings.List{}
-	rowSets := map[int]postings.List{}
-	nodeOcc := map[occKey][]int{} // outcome indices that carry node hits
 	for i := range outcomes {
 		r := &outcomes[i]
 		stats.merge(&r.stats)
 		if r.err != nil {
-			return nil, nil, nil, r.err
+			return nil, r.err
 		}
-		if !r.ok {
+		if r.ok {
+			stats.Trace.add("probe", fmt.Sprintf("%s: %d keys, %d docs", r.label, r.stats.KeysVisited, len(r.docs)), r.t0)
+		}
+	}
+	return outcomes, nil
+}
+
+// nodeHits reports whether outcome i carries collection-level node hits.
+func nodeHits(plans []probePlan, outcomes []probeOutcome, i int) bool {
+	return outcomes[i].ok && outcomes[i].nodes != nil && plans[i].forRow < 0
+}
+
+// seedProbes turns each node-granular outcome's hits into the evaluator
+// seed of its compared path(s). When several node probes are direct
+// conjuncts of ONE conjunction scope (the same bracket or where clause)
+// over the same occurrence and pattern through a singleton compared path,
+// one node must satisfy every comparison: the hit lists intersect at node
+// granularity — a per-document refinement the doc-level intersection
+// cannot see — and each member's document projection narrows to the
+// intersection's, which combineProbes then folds into the occurrence's
+// pre-filter. Probes from different scopes never intersect, even over the
+// same occurrence and pattern: the conjuncts are existentially
+// independent (a document may satisfy each with a different node), and a
+// positional predicate between two brackets observes the intermediate
+// sequence, which intersection-pruned seeds would reshape.
+func (e *Engine) seedProbes(g *guard.Guard, plans []probePlan, outcomes []probeOutcome, stats *Stats) (xquery.Seeds, error) {
+	type scopeKey struct {
+		coll       string
+		occ, scope int
+		pattern    string
+	}
+	groups := map[scopeKey][]int{}
+	for i, pl := range plans {
+		if nodeHits(plans, outcomes, i) && pl.seedScope > 0 && pl.seedSingle {
+			k := scopeKey{pl.coll, pl.occ, pl.seedScope, pl.probe.QueryPattern.String()}
+			groups[k] = append(groups[k], i)
+		}
+	}
+	for _, group := range groups {
+		if len(group) < 2 {
 			continue
 		}
-		stats.Trace.add("probe", fmt.Sprintf("%s: %d keys, %d docs", r.label, r.stats.KeysVisited, len(r.docs)), r.t0)
-		pl := plans[i]
-		if r.nodes != nil && pl.forRow < 0 {
-			nodeOcc[occKey{pl.coll, pl.occ}] = append(nodeOcc[occKey{pl.coll, pl.occ}], i)
+		inter := outcomes[group[0]].nodes
+		for _, i := range group[1:] {
+			inter = postings.IntersectNodes(inter, outcomes[i].nodes)
+		}
+		docs := inter.Docs()
+		for _, i := range group {
+			outcomes[i].nodes, outcomes[i].docs = inter, docs
+		}
+	}
+	var seeds xquery.Seeds
+	for i, pl := range plans {
+		if !nodeHits(plans, outcomes, i) {
+			continue
+		}
+		seed, err := e.buildSeed(g, pl.table, pl.coll, outcomes[i].nodes)
+		if err != nil {
+			return nil, err
+		}
+		if seed == nil {
+			continue
+		}
+		stats.NodesSeeded += len(outcomes[i].nodes)
+		if seeds == nil {
+			seeds = xquery.Seeds{}
+		}
+		for _, pe := range pl.seeds {
+			seeds[pe] = seed
+		}
+	}
+	return seeds, nil
+}
+
+// combineProbes merges the outcomes' document sets: within one binding
+// occurrence (or one SQL FROM item) probe results intersect; across
+// occurrences of the same collection they union (a document needed by
+// one binding must survive even if another binding's predicate rejects
+// it). A collection with an occurrence that has no probe cannot be
+// pre-filtered at all.
+func combineProbes(plans []probePlan, outcomes []probeOutcome, a *core.Analysis) (map[string]postings.List, map[int]postings.List) {
+	type occKey struct {
+		coll string
+		occ  int
+	}
+	occSets := map[occKey]postings.List{}
+	rowSets := map[int]postings.List{}
+	for i, pl := range plans {
+		r := &outcomes[i]
+		if !r.ok {
+			continue
 		}
 		if pl.forRow >= 0 {
 			// SQL row-level predicates on the same FROM item all
@@ -734,74 +805,14 @@ func (e *Engine) runProbes(g *guard.Guard, plans []probePlan, a *core.Analysis, 
 		}
 	}
 
-	// Seed construction: each node-granular outcome's hits become the
-	// evaluator seed of its compared path(s). When several node probes
-	// are direct conjuncts of ONE conjunction scope (the same bracket or
-	// where clause) over the same pattern through a singleton compared
-	// path, one node must satisfy every comparison: the hit lists
-	// intersect at node granularity — a per-document refinement the
-	// doc-level intersection cannot see — and the document pre-filter
-	// tightens to the intersection's projection. Probes from different
-	// scopes never intersect, even over the same occurrence and pattern:
-	// the conjuncts are existentially independent (a document may
-	// satisfy each with a different node), and a positional predicate
-	// between two brackets observes the intermediate sequence, which
-	// intersection-pruned seeds would reshape.
-	var seeds xquery.Seeds
-	for k, idxs := range nodeOcc {
-		byScope := map[scopePat][]int{}
-		for _, i := range idxs {
-			if pl := plans[i]; pl.seedScope > 0 && pl.seedSingle {
-				key := scopePat{pl.seedScope, pl.probe.QueryPattern.String()}
-				byScope[key] = append(byScope[key], i)
-			}
-		}
-		for _, group := range byScope {
-			if len(group) < 2 {
-				continue
-			}
-			inter := outcomes[group[0]].nodes
-			for _, i := range group[1:] {
-				inter = postings.IntersectNodes(inter, outcomes[i].nodes)
-			}
-			for _, i := range group {
-				outcomes[i].nodes = inter
-			}
-			occSets[k] = postings.Intersect(occSets[k], inter.Docs())
-		}
-		for _, i := range idxs {
-			pl := plans[i]
-			seed, err := e.buildSeed(g, pl.table, pl.coll, outcomes[i].nodes)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			if seed == nil {
-				continue
-			}
-			stats.NodesSeeded += len(outcomes[i].nodes)
-			if seeds == nil {
-				seeds = xquery.Seeds{}
-			}
-			for _, pe := range pl.seeds {
-				seeds[pe] = seed
-			}
-		}
-	}
-
 	// Occurrences of a collection that produced no probe poison the
-	// whole collection's pre-filter.
-	probedOcc := map[occKey]bool{}
-	for k := range occSets {
-		probedOcc[k] = true
-	}
+	// whole collection's pre-filter: union with everything = no filter.
 	poisoned := map[string]bool{}
 	for _, p := range a.Predicates {
 		if p.FromIndex >= 0 || p.Collection == "" {
 			continue
 		}
-		if !probedOcc[occKey{p.Collection, p.Occurrence}] {
-			// This occurrence has predicates but no probe; union with
-			// everything = no filter.
+		if _, probed := occSets[occKey{p.Collection, p.Occurrence}]; !probed {
 			poisoned[p.Collection] = true
 		}
 	}
@@ -817,7 +828,7 @@ func (e *Engine) runProbes(g *guard.Guard, plans []probePlan, a *core.Analysis, 
 			collSets[k.coll] = set
 		}
 	}
-	return collSets, rowSets, seeds, nil
+	return collSets, rowSets
 }
 
 // applyRelProbes installs relational-index row filters for SQL equality

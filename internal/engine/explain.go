@@ -46,17 +46,8 @@ func (e *Engine) renderPlan(p *plan, cache string) string {
 			fmt.Fprintf(&b, "warning (Tip %d — %s): %s\n", w.Tip, core.TipTitle(w.Tip), w.Message)
 		}
 	}
-	if p.structural != nil {
-		kind := "exists"
-		if p.structural.Count {
-			kind = "count"
-		}
-		fmt.Fprintf(&b, "structural-only: %s of %s over %s answered from the path synopsis (no documents touched)\n",
-			kind, p.structural.Pattern, p.structural.Collection)
-	}
-	if p.indexOnly != nil {
-		fmt.Fprintf(&b, "index-only: %s over %s answered at node granularity (no documents touched)\n",
-			p.indexOnly.label, p.indexOnly.q.Collection)
+	if p.answer != nil {
+		b.WriteString(p.answer.explain())
 	}
 	for _, pl := range p.probes {
 		seeded := ""

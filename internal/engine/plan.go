@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"time"
 
@@ -86,17 +85,10 @@ type plan struct {
 	// verdicts, chosen index, skip notes) for EXPLAIN.
 	decisions []predDecision
 
-	// structural, when non-nil, marks a query answerable from the path
-	// synopsis alone (fn:count/fn:exists over a predicate-free path);
-	// execution consults the live synopsis and falls back to normal
-	// evaluation when it has no answer.
-	structural *core.StructuralQuery
-
-	// indexOnly, when non-nil, marks a query answerable from one
-	// node-granularity index probe (fn:count/fn:exists over a value
-	// predicate); execution probes the index and falls back to normal
-	// evaluation when the exactness gates fail.
-	indexOnly *indexOnlySpec
+	// answer, when non-nil, marks a query answerable without walking
+	// documents, from the path synopsis or one index probe; execution
+	// falls back to normal evaluation when the source has no exact answer.
+	answer *answerSource
 
 	// explain marks a SQL EXPLAIN wrapper: execution renders the plan
 	// report instead of running the statement.
@@ -254,10 +246,8 @@ func (e *Engine) buildPlan(query string, lang Lang, useIndexes bool) (*plan, err
 			if err != nil {
 				return nil, err
 			}
-			if sq, ok := core.StructuralOnly(m); ok {
-				p.structural = sq
-			} else if iq, ok := core.IndexOnly(m); ok {
-				p.indexOnly = e.planIndexOnly(iq)
+			if q, ok := core.DocFree(m); ok {
+				p.answer = e.planAnswer(q)
 			}
 		}
 	case LangSQL:
@@ -326,23 +316,12 @@ func newStats(o ExecOptions) *Stats {
 
 func (e *Engine) execXQueryPlan(p *plan, o ExecOptions, stats *Stats) (xdm.Sequence, *Stats, error) {
 	g := o.Guard
-	if p.structural != nil && !o.NoSynopsis {
-		if seq, ok := e.answerStructural(p.structural, stats); ok {
-			if err := g.Check(); err != nil {
-				return nil, nil, err
-			}
-			return seq, stats, nil
-		}
-	}
-	if p.indexOnly != nil && !o.NoIndexOnly {
-		seq, ok, err := e.answerIndexOnly(p.indexOnly, g, o, stats)
+	if p.answer != nil {
+		seq, ok, err := e.answer(p.answer, g, o, stats)
 		if err != nil {
 			return nil, nil, err
 		}
 		if ok {
-			if err := g.Check(); err != nil {
-				return nil, nil, err
-			}
 			return seq, stats, nil
 		}
 	}
@@ -372,40 +351,6 @@ func (e *Engine) execXQueryPlan(p *plan, o ExecOptions, stats *Stats) (xdm.Seque
 		return nil, nil, err
 	}
 	return seq, stats, nil
-}
-
-// answerStructural answers a structural-only query from the column's
-// live path synopsis: fn:count is the exact number of nodes whose rooted
-// path matches the pattern, fn:exists is that count's sign. ok=false —
-// unknown collection, no synopsis on the column — falls through to
-// normal evaluation, which surfaces its ordinary errors.
-func (e *Engine) answerStructural(sq *core.StructuralQuery, stats *Stats) (xdm.Sequence, bool) {
-	dot := strings.IndexByte(sq.Collection, '.')
-	if dot < 0 {
-		return nil, false
-	}
-	tab, err := e.Catalog.Table(sq.Collection[:dot])
-	if err != nil {
-		return nil, false
-	}
-	syn := tab.Synopsis(sq.Collection[dot+1:])
-	t0 := stats.Trace.now()
-	nodes, _ := syn.Match(sq.Pattern)
-	if nodes < 0 {
-		return nil, false
-	}
-	kind := "exists"
-	if sq.Count {
-		kind = "count"
-	}
-	label := fmt.Sprintf("synopsis(%s %s over %s)", kind, sq.Pattern, sq.Collection)
-	stats.IndexesUsed = append(stats.IndexesUsed, label)
-	stats.Trace.add("probe", fmt.Sprintf("%s: %d nodes", label, nodes), t0)
-	stats.SynopsisAnswered = true
-	if sq.Count {
-		return xdm.Sequence{xdm.NewInteger(nodes)}, true
-	}
-	return xdm.Sequence{xdm.NewBoolean(nodes > 0)}, true
 }
 
 // minParallelDocs is the smallest collection worth sharding; below it the

@@ -58,19 +58,26 @@ func TestSynopsisShortCircuitSkipsProbe(t *testing.T) {
 
 // A short-circuited probe costs nothing, but it still answers to the
 // guard: a canceled query aborts instead of returning a fast empty set.
+// The same holds for every document-free answer source.
 func TestSkippedProbeRespectsCancellation(t *testing.T) {
 	e := newPaperDB(t, 10)
 	createLiPrice(t, e)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	g := guard.New(ctx, 0, guard.Limits{})
-	_, _, err := e.ExecXQueryOpts(skipQuery, ExecOptions{Guard: g, UseIndexes: true})
-	if err == nil {
-		t.Fatal("canceled query with a skipped probe returned success")
-	}
-	v, ok := guard.AsViolation(err)
-	if !ok || v.Kind != guard.Canceled {
-		t.Fatalf("error = %v, want a Canceled violation", err)
+	for _, q := range []string{
+		skipQuery,
+		`fn:count(db2-fn:xmlcolumn('ORDERS.ORDDOC')//lineitem)`,                 // synopsis answer
+		`fn:count(db2-fn:xmlcolumn('ORDERS.ORDDOC')//lineitem/@price[. > 100])`, // index-only answer
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		g := guard.New(ctx, 0, guard.Limits{})
+		seq, _, err := e.ExecXQueryOpts(q, ExecOptions{Guard: g, UseIndexes: true})
+		if err == nil || seq != nil {
+			t.Fatalf("%s: canceled query returned %v, err %v", q, seq, err)
+		}
+		v, ok := guard.AsViolation(err)
+		if !ok || v.Kind != guard.Canceled {
+			t.Fatalf("%s: error = %v, want a Canceled violation", q, err)
+		}
 	}
 }
 

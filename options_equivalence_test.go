@@ -9,8 +9,9 @@ import (
 // TestQueryOptionsEquivalenceProperty runs every combination of the
 // public QueryOptions boolean knobs — the knobmatrix analyzer enforces
 // that each one appears here — and requires byte-identical results to
-// the plain defaults: Trace, NoProbeCache, NoSynopsis, NoIndexOnly, and
-// NoNodeSeeds toggle optimizations and observability, never answers.
+// the plain defaults and to a run without indexes (Definition 1's own
+// oracle): Trace, NoProbeCache, NoSynopsis, NoIndexOnly, and NoNodeSeeds
+// toggle optimizations and observability, never answers.
 func TestQueryOptionsEquivalenceProperty(t *testing.T) {
 	db := Open()
 	db.MustExecSQL(`create table orders (ordid integer, orddoc xml)`)
@@ -22,11 +23,13 @@ func TestQueryOptionsEquivalenceProperty(t *testing.T) {
 	db.MustExecSQL(`create index li_price on orders(orddoc) using xmlpattern '//lineitem/@price' as double`)
 
 	queries := []string{
-		// Probe + re-evaluation, index-only aggregate, and a synopsis
-		// short-circuit (no <missing> path is stored).
+		// Probe + re-evaluation, index-only aggregate, a synopsis
+		// short-circuit (no <missing> path is stored), and a synopsis
+		// answer.
 		`db2-fn:xmlcolumn("ORDERS.ORDDOC")//order[lineitem/@price > 100]`,
 		`fn:count(db2-fn:xmlcolumn("ORDERS.ORDDOC")//lineitem/@price[. > 100])`,
 		`fn:exists(db2-fn:xmlcolumn("ORDERS.ORDDOC")//missing[@price > 1])`,
+		`fn:count(db2-fn:xmlcolumn("ORDERS.ORDDOC")//lineitem)`,
 	}
 	render := func(res *Result) string {
 		var b strings.Builder
@@ -37,11 +40,20 @@ func TestQueryOptionsEquivalenceProperty(t *testing.T) {
 		return b.String()
 	}
 	for _, q := range queries {
+		db.UseIndexes = false
+		oracle, _, err := db.QueryXQuery(q)
+		db.UseIndexes = true
+		if err != nil {
+			t.Fatalf("%s without indexes: %v", q, err)
+		}
 		base, _, err := db.QueryXQuery(q)
 		if err != nil {
 			t.Fatalf("%s baseline: %v", q, err)
 		}
 		want := render(base)
+		if scan := render(oracle); scan != want {
+			t.Fatalf("%s: indexes changed the result\nwant %q\ngot  %q", q, scan, want)
+		}
 		for mask := 0; mask < 32; mask++ {
 			for _, par := range []int{1, 4} {
 				o := QueryOptions{
