@@ -879,7 +879,9 @@ func (f *filteredResolver) Collection(name string) ([]*xdm.Node, error) {
 }
 
 // countDocs measures collection sizes touched by the filter sets; SQL
-// row-level filters count against their table's row count.
+// row-level filters count against their table's row count. Sizes come
+// from the catalog's maintained document counts, so the cost does not
+// grow with the collections.
 func countDocs(e *Engine, collSets map[string]postings.List, rowSets map[int]postings.List, rowColl map[int]string, stats *Stats, collections []string) {
 	seen := map[string]bool{}
 	for fi, set := range rowSets {
@@ -888,11 +890,11 @@ func countDocs(e *Engine, collSets map[string]postings.List, rowSets map[int]pos
 			continue
 		}
 		seen[c] = true
-		docs, err := e.Catalog.Collection(c)
+		n, err := e.Catalog.DocCount(c)
 		if err != nil {
 			continue
 		}
-		stats.DocsTotal += len(docs)
+		stats.DocsTotal += n
 		stats.DocsScanned += len(set)
 	}
 	for _, c := range collections {
@@ -901,15 +903,15 @@ func countDocs(e *Engine, collSets map[string]postings.List, rowSets map[int]pos
 			continue
 		}
 		seen[c] = true
-		docs, err := e.Catalog.Collection(c)
+		n, err := e.Catalog.DocCount(c)
 		if err != nil {
 			continue
 		}
-		stats.DocsTotal += len(docs)
+		stats.DocsTotal += n
 		if set, ok := collSets[c]; ok {
 			stats.DocsScanned += len(set)
 		} else {
-			stats.DocsScanned += len(docs)
+			stats.DocsScanned += n
 		}
 	}
 }

@@ -287,57 +287,62 @@ func (e *Executor) execSelect(s *Select, pf Prefilter) (*Result, error) {
 		}
 	}
 
-	// The join loop runs in one or more workers. With Parallel > 1 and an
-	// outer FROM table of enough rows, the outer scan is partitioned into
+	// The outer FROM table's rows are resolved once per statement — by id
+	// when the pre-filter names them, so a selective SELECT never copies
+	// or visits the rest of the table. The join loop runs in one or more
+	// workers. With Parallel > 1 and at least minParallelRows outer rows
+	// (counted after the pre-filter), the outer rows are partitioned into
 	// contiguous shards, one worker each; shard outputs concatenate in
 	// shard order, which reproduces the serial row order exactly. Workers
 	// share the guard (atomic counters) and an output-row count for the
 	// result-item limit.
-	var emitted atomic.Int64
-	newWorker := func() *selectWorker {
-		return &selectWorker{e: e, s: s, pf: pf, outCols: res.Columns, emitted: &emitted}
-	}
-	var workers []*selectWorker
-	if par := e.Parallel; par > 1 && len(s.From) > 0 {
+	var outer []storage.Row
+	if len(s.From) > 0 {
 		if ft, ok := s.From[0].(*FromTable); ok {
-			if tab, err := e.Catalog.Table(ft.Table); err == nil {
-				rows := tab.Rows()
-				if len(rows) >= minParallelRows {
-					if par > len(rows) {
-						par = len(rows)
-					}
-					ws := make([]*selectWorker, par)
-					errs := make([]error, par)
-					var wg sync.WaitGroup
-					for i := 0; i < par; i++ {
-						ws[i] = newWorker()
-						lo, hi := i*len(rows)/par, (i+1)*len(rows)/par
-						wg.Add(1)
-						go func(i int, shard []storage.Row) {
-							defer wg.Done()
-							defer func() {
-								if r := recover(); r != nil {
-									errs[i] = &guard.Violation{Kind: guard.Internal, Msg: fmt.Sprintf("panic: %v", r)}
-								}
-							}()
-							errs[i] = ws[i].loop(0, shard)
-						}(i, rows[lo:hi])
-					}
-					wg.Wait()
-					for _, err := range errs {
-						if err != nil {
-							return nil, err
-						}
-					}
-					workers = ws
-					res.ParallelShards = par
-				}
+			tab, err := e.Catalog.Table(ft.Table)
+			if err != nil {
+				return nil, err
 			}
+			outer = tableRows(tab, pf[0])
 		}
 	}
+	var emitted atomic.Int64
+	newWorker := func(outer []storage.Row) *selectWorker {
+		return &selectWorker{e: e, s: s, pf: pf, outCols: res.Columns, emitted: &emitted, outer: outer}
+	}
+	var workers []*selectWorker
+	if par := e.Parallel; par > 1 && len(outer) >= minParallelRows {
+		if par > len(outer) {
+			par = len(outer)
+		}
+		ws := make([]*selectWorker, par)
+		errs := make([]error, par)
+		var wg sync.WaitGroup
+		for i := 0; i < par; i++ {
+			ws[i] = newWorker(outer[i*len(outer)/par : (i+1)*len(outer)/par])
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				defer func() {
+					if r := recover(); r != nil {
+						errs[i] = &guard.Violation{Kind: guard.Internal, Msg: fmt.Sprintf("panic: %v", r)}
+					}
+				}()
+				errs[i] = ws[i].loop(0)
+			}(i)
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				return nil, err
+			}
+		}
+		workers = ws
+		res.ParallelShards = par
+	}
 	if workers == nil {
-		w := newWorker()
-		if err := w.loop(0, nil); err != nil {
+		w := newWorker(outer)
+		if err := w.loop(0); err != nil {
 			return nil, err
 		}
 		workers = []*selectWorker{w}
@@ -378,10 +383,20 @@ func (e *Executor) execSelect(s *Select, pf Prefilter) (*Result, error) {
 	return res, nil
 }
 
-// minParallelRows is the smallest outer table worth sharding; below it
-// the goroutine overhead outweighs the work. A variable so tests can
-// lower it.
+// minParallelRows is the smallest outer row set — after the pre-filter —
+// worth sharding; below it the goroutine overhead outweighs the work. A
+// variable so tests can lower it.
 var minParallelRows = 32
+
+// tableRows snapshots the rows one FROM table contributes to a scan: the
+// whole table, or — when the pre-filter names the admissible ids — just
+// those rows, fetched by id in row order.
+func tableRows(tab *storage.Table, allowed postings.List) []storage.Row {
+	if allowed != nil {
+		return tab.RowsByID(allowed)
+	}
+	return tab.Rows()
+}
 
 // keyedRow pairs an output row with its ORDER BY keys.
 type keyedRow struct {
@@ -400,6 +415,9 @@ type selectWorker struct {
 	pf      Prefilter
 	outCols []string
 	emitted *atomic.Int64
+	// outer holds this worker's rows of the first FROM table (its shard,
+	// or all of them when serial), resolved once per statement.
+	outer []storage.Row
 
 	env     []binding
 	rows    [][]ResultCell
@@ -407,9 +425,11 @@ type selectWorker struct {
 	scanned int
 }
 
-// loop recurses over the FROM items; outer, when non-nil, replaces the
-// first FROM table's row scan with a pre-resolved shard.
-func (w *selectWorker) loop(i int, outer []storage.Row) error {
+// loop recurses over the FROM items. The first FROM table scans the
+// worker's pre-resolved outer rows; later ones resolve theirs per outer
+// row. Each visited row costs one guard step, so a pre-filter that
+// keeps few rows also spends few steps.
+func (w *selectWorker) loop(i int) error {
 	e, s := w.e, w.s
 	if i == len(s.From) {
 		return w.emit()
@@ -424,17 +444,13 @@ func (w *selectWorker) loop(i int, outer []storage.Row) error {
 		for _, c := range tab.Columns {
 			cols = append(cols, c.Name)
 		}
-		rows := outer
-		if rows == nil {
-			rows = tab.Rows()
+		rows := w.outer
+		if i > 0 {
+			rows = tableRows(tab, w.pf[i])
 		}
-		allowed := w.pf[i]
 		for _, row := range rows {
 			if err := e.Guard.Step(); err != nil {
 				return err
-			}
-			if allowed != nil && !allowed.Contains(row.ID) {
-				continue
 			}
 			w.scanned++
 			cells := make([]ResultCell, len(row.Cells))
@@ -442,7 +458,7 @@ func (w *selectWorker) loop(i int, outer []storage.Row) error {
 				cells[ci] = storageCellToResult(cell)
 			}
 			w.env = append(w.env, binding{alias: fi.Alias, cols: cols, cells: cells})
-			if err := w.loop(i+1, nil); err != nil {
+			if err := w.loop(i + 1); err != nil {
 				return err
 			}
 			w.env = w.env[:len(w.env)-1]
@@ -455,7 +471,7 @@ func (w *selectWorker) loop(i int, outer []storage.Row) error {
 		}
 		for _, cells := range rows {
 			w.env = append(w.env, binding{alias: fi.Alias, cols: cols, cells: cells})
-			if err := w.loop(i+1, nil); err != nil {
+			if err := w.loop(i + 1); err != nil {
 				return err
 			}
 			w.env = w.env[:len(w.env)-1]

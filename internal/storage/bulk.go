@@ -136,10 +136,7 @@ func (t *Table) BulkAppend(rows []Row, runs map[*xmlindex.Index][][][]byte, syn 
 			rel.insert(rows[ri])
 		}
 		for ci := range rows[ri].Cells {
-			cell := rows[ri].Cells[ci]
-			if !cell.Null && cell.Doc != nil && cell.Doc.TypeAnn.Valid {
-				t.bumpAnnotated(ci, 1)
-			}
+			t.countDoc(ci, rows[ri].Cells[ci], 1)
 		}
 	}
 	pathSetChanged := false

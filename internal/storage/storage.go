@@ -8,6 +8,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -110,11 +111,14 @@ type Table struct {
 	// synopses' contents change, under their own locks.
 	syns []*synopsis.Synopsis
 
-	// annotated counts stored documents per column whose root carries a
-	// schema-validation stamp (grown on demand, guarded by mu). Typed
-	// values can raise comparison errors the tolerant index never
-	// recorded, so one annotated document disables index-only answers
-	// for the whole column.
+	// docs counts stored documents per column — exactly what Collection
+	// returns — so a query learns a column's size without copying it.
+	// annotated counts the subset whose root carries a schema-validation
+	// stamp: typed values can raise comparison errors the tolerant index
+	// never recorded, so one annotated document disables index-only
+	// answers for the whole column. Both are parallel to Columns and
+	// guarded by mu; countDoc is their only writer.
+	docs      []int
 	annotated []int
 
 	// catVersion points at the owning catalog's schema version counter;
@@ -228,6 +232,7 @@ func (c *Catalog) CreateTable(name string, cols []Column) (*Table, error) {
 		seen[k] = true
 	}
 	t := &Table{Name: strings.ToLower(name), Columns: cols, byID: map[uint32]int{}, nextID: 1,
+		docs: make([]int, len(cols)), annotated: make([]int, len(cols)),
 		catVersion: &c.version, metrics: c.metrics, probeCacheCap: c.probeCacheCap}
 	t.syns = make([]*synopsis.Synopsis, len(cols))
 	for i, col := range cols {
@@ -280,27 +285,44 @@ func (c *Catalog) Tables() []*Table {
 	return out
 }
 
+// xmlColumn resolves "TABLE.COLUMN" (case-insensitive) to an XML
+// column: the one name resolution behind Collection, CollectionFiltered
+// and DocCount.
+func (c *Catalog) xmlColumn(name string) (*Table, int, error) {
+	dot := strings.IndexByte(name, '.')
+	if dot < 0 {
+		return nil, 0, fmt.Errorf("db2-fn:xmlcolumn: argument %q must be TABLE.COLUMN", name)
+	}
+	t, err := c.Table(name[:dot])
+	if err != nil {
+		return nil, 0, err
+	}
+	ci, err := t.ColumnIndex(name[dot+1:])
+	if err != nil {
+		return nil, 0, err
+	}
+	if t.Columns[ci].Type != XML {
+		return nil, 0, fmt.Errorf("db2-fn:xmlcolumn: %s is not an XML column", name)
+	}
+	return t, ci, nil
+}
+
+// openCollection is xmlColumn behind the storage.collection fault site,
+// which every document accessor — filtered or not — fires.
+func (c *Catalog) openCollection(name string) (*Table, int, error) {
+	if err := guard.Fault("storage.collection:" + strings.ToLower(name)); err != nil {
+		return nil, 0, err
+	}
+	return c.xmlColumn(name)
+}
+
 // Collection implements the db2-fn:xmlcolumn accessor: it resolves
 // "TABLE.COLUMN" (case-insensitive) to the column's documents in row
 // order, making Catalog usable as an xquery.CollectionResolver.
 func (c *Catalog) Collection(name string) ([]*xdm.Node, error) {
-	if err := guard.Fault("storage.collection:" + strings.ToLower(name)); err != nil {
-		return nil, err
-	}
-	dot := strings.IndexByte(name, '.')
-	if dot < 0 {
-		return nil, fmt.Errorf("db2-fn:xmlcolumn: argument %q must be TABLE.COLUMN", name)
-	}
-	t, err := c.Table(name[:dot])
+	t, ci, err := c.openCollection(name)
 	if err != nil {
 		return nil, err
-	}
-	ci, err := t.ColumnIndex(name[dot+1:])
-	if err != nil {
-		return nil, err
-	}
-	if t.Columns[ci].Type != XML {
-		return nil, fmt.Errorf("db2-fn:xmlcolumn: %s is not an XML column", name)
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -318,34 +340,57 @@ func (c *Catalog) Collection(name string) ([]*xdm.Node, error) {
 // CollectionFiltered is Collection restricted to the given row ids — the
 // I(P, D) pre-filter of Definition 1 applied to a whole-column access.
 // allowed is a sorted posting list; an empty (or nil) list admits no
-// documents.
+// documents. The ids are resolved through the row-id map, so the cost
+// is O(k log k) for k allowed ids, whatever the column's size; the
+// documents still come back in row order.
 func (c *Catalog) CollectionFiltered(name string, allowed postings.List) ([]*xdm.Node, error) {
-	dot := strings.IndexByte(name, '.')
-	if dot < 0 {
-		return nil, fmt.Errorf("db2-fn:xmlcolumn: argument %q must be TABLE.COLUMN", name)
-	}
-	t, err := c.Table(name[:dot])
-	if err != nil {
-		return nil, err
-	}
-	ci, err := t.ColumnIndex(name[dot+1:])
+	t, ci, err := c.openCollection(name)
 	if err != nil {
 		return nil, err
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	var docs []*xdm.Node
-	//xqvet:unbounded-ok the CollectionResolver interface has no guard; the engine guards per document downstream
-	for _, row := range t.rows {
-		if !allowed.Contains(row.ID) {
-			continue
-		}
-		cell := row.Cells[ci]
-		if !cell.Null && cell.Doc != nil {
+	pos := t.positions(allowed)
+	docs := make([]*xdm.Node, 0, len(pos))
+	for _, p := range pos {
+		if cell := t.rows[p].Cells[ci]; !cell.Null && cell.Doc != nil {
 			docs = append(docs, cell.Doc)
 		}
 	}
 	return docs, nil
+}
+
+// DocCount returns how many documents Collection(name) would return,
+// read from a counter that Insert, Delete and BulkAppend maintain —
+// no row is touched and nothing is copied.
+func (c *Catalog) DocCount(name string) (int, error) {
+	t, ci, err := c.xmlColumn(name)
+	if err != nil {
+		return 0, err
+	}
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.docs[ci], nil
+}
+
+// positions resolves row ids to row positions, in row order. Ids with no
+// row — deleted, never issued, or reserved by a load that has not landed
+// — are skipped. The result is sorted by position, never by id: an
+// Insert that commits while a BulkAppend is staged takes a higher id but
+// an earlier row, so id order and row order can disagree. This is the
+// one by-ID access path behind CollectionFiltered and RowsByID, and it
+// costs O(k log k) for k ids whatever the table's size. Callers hold
+// t.mu.
+func (t *Table) positions(ids postings.List) []int {
+	pos := make([]int, 0, len(ids))
+	//xqvet:unbounded-ok bounded by the posting list an index probe produced; the engine guards per document and per row downstream
+	for _, id := range ids {
+		if p, ok := t.byID[id]; ok {
+			pos = append(pos, p)
+		}
+	}
+	slices.Sort(pos)
+	return pos
 }
 
 // Synopsis returns the path summary of an XML column, nil when the
@@ -435,9 +480,7 @@ func (t *Table) Insert(cells []Cell) (uint32, error) {
 		if t.syn(i).AddDoc(cell.Doc) {
 			pathSetChanged = true
 		}
-		if cell.Doc.TypeAnn.Valid {
-			t.bumpAnnotated(i, 1)
-		}
+		t.countDoc(i, cell, 1)
 	}
 	if pathSetChanged {
 		t.bumpVersion()
@@ -512,9 +555,7 @@ func (t *Table) Delete(id uint32) error {
 		if t.syn(i).RemoveDoc(cell.Doc) {
 			pathSetChanged = true
 		}
-		if cell.Doc.TypeAnn.Valid {
-			t.bumpAnnotated(i, -1)
-		}
+		t.countDoc(i, cell, -1)
 	}
 	if pathSetChanged {
 		t.bumpVersion()
@@ -522,13 +563,17 @@ func (t *Table) Delete(id uint32) error {
 	return nil
 }
 
-// bumpAnnotated adjusts the annotated-document count of column ci.
-// Callers hold t.mu.
-func (t *Table) bumpAnnotated(ci, delta int) {
-	for len(t.annotated) <= ci {
-		t.annotated = append(t.annotated, 0)
+// countDoc moves column ci's document counters by delta (+1 as a cell
+// lands, -1 as it goes); a NULL cell holds no document and counts for
+// nothing. Callers hold t.mu.
+func (t *Table) countDoc(ci int, cell Cell, delta int) {
+	if cell.Null || cell.Doc == nil {
+		return
 	}
-	t.annotated[ci] += delta
+	t.docs[ci] += delta
+	if cell.Doc.TypeAnn.Valid {
+		t.annotated[ci] += delta
+	}
 }
 
 // HasAnnotatedDocs reports whether any stored document of the column
@@ -540,7 +585,7 @@ func (t *Table) HasAnnotatedDocs(column string) bool {
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return ci < len(t.annotated) && t.annotated[ci] > 0
+	return t.annotated[ci] > 0
 }
 
 // Rows snapshots all rows in insertion order.
@@ -548,6 +593,20 @@ func (t *Table) Rows() []Row {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return append([]Row(nil), t.rows...)
+}
+
+// RowsByID snapshots the rows whose ids are in the sorted posting list
+// ids: the rows filtering Rows() by ids.Contains would keep, in the same
+// (insertion) order, at O(k log k) for k ids instead of O(table).
+func (t *Table) RowsByID(ids postings.List) []Row {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	pos := t.positions(ids)
+	rows := make([]Row, len(pos))
+	for i, p := range pos {
+		rows[i] = t.rows[p]
+	}
+	return rows
 }
 
 // ForEachRow visits rows in insertion order under the read lock, without

@@ -68,8 +68,9 @@ type QueryOptions struct {
 	Timeout time.Duration
 	// MaxResultItems caps result rows (SQL) or sequence items (XQuery).
 	MaxResultItems int
-	// MaxEvalSteps caps XQuery evaluator steps — expression evaluations
-	// plus per-item loop iterations; 0 means unlimited.
+	// MaxEvalSteps caps evaluation steps — XQuery expression evaluations
+	// and per-item loop iterations, plus one per row a SQL scan visits;
+	// 0 means unlimited.
 	MaxEvalSteps int64
 	// MaxParseDepth and MaxDocBytes bound XML documents parsed during
 	// query execution (XMLPARSE); 0 falls back to the parser defaults.
