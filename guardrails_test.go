@@ -166,6 +166,40 @@ func TestMaxEvalSteps(t *testing.T) {
 	}
 }
 
+// TestMaxEvalStepsQ16HashJoin pins the step cost of a Query 16-shaped
+// join: the hash join spends O(outer + inner + candidates) steps, so a
+// budget the row-pair nested loop exceeds now suffices — with indexes on
+// and off alike.
+func TestMaxEvalStepsQ16HashJoin(t *testing.T) {
+	db := Open()
+	db.MustExecSQL(`create table orders (ordid integer, orddoc xml)`)
+	db.MustExecSQL(`create table customer (cid integer, cdoc xml)`)
+	for i := 0; i < 200; i++ {
+		db.MustExecSQL(fmt.Sprintf(`insert into orders values (%d, '<order><custid>%d</custid></order>')`, i, i%20))
+	}
+	for i := 0; i < 20; i++ {
+		db.MustExecSQL(fmt.Sprintf(`insert into customer values (%d, '<customer><id>%d</id></customer>')`, i, i))
+	}
+	db.MustExecSQL(`create index o_custid on orders(orddoc) using xmlpattern '/order/custid' as double`)
+	const q16 = `SELECT c.cid FROM orders o, customer c WHERE XMLExists('$order/order[custid/xs:double(.) = $cust/customer/id/xs:double(.)]' passing o.orddoc as "order", c.cdoc as "cust")`
+	// The same join with a second predicate the hash-join recognizer
+	// rejects: it runs as the nested loop.
+	nested := strings.Replace(q16, `xs:double(.)]'`, `xs:double(.)][1]'`, 1)
+	opts := QueryOptions{MaxEvalSteps: 20000}
+	for _, useIndexes := range []bool{true, false} {
+		db.UseIndexes = useIndexes
+		res, _, err := db.ExecSQLOpts(q16, opts)
+		if err != nil || res.Len() != 200 {
+			t.Fatalf("indexes=%v: hash join within %d steps: err=%v", useIndexes, opts.MaxEvalSteps, err)
+		}
+		_, _, err = db.ExecSQLOpts(nested, opts)
+		var qe *QueryError
+		if !errors.As(err, &qe) || qe.Kind != ErrLimitExceeded {
+			t.Fatalf("indexes=%v: nested loop within %d steps: want a limit QueryError, got %v", useIndexes, opts.MaxEvalSteps, err)
+		}
+	}
+}
+
 func TestParseLimits(t *testing.T) {
 	db := Open()
 	db.MustExecSQL(`create table t (a integer)`)

@@ -82,6 +82,11 @@ type Stats struct {
 	DocsScanned int
 	// RowsScanned is the SQL executor's base-row count.
 	RowsScanned int
+	// HashJoin marks a SQL XMLExists equality join run as a hash join;
+	// JoinCandidates counts the row pairs its key match left for the
+	// full XMLExists to re-check.
+	HashJoin       bool
+	JoinCandidates int
 	// ParallelShards is the worker count document-at-a-time execution
 	// actually used (0 or 1 = serial).
 	ParallelShards int

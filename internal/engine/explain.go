@@ -74,6 +74,9 @@ func (e *Engine) renderPlan(p *plan, cache string) string {
 		indexes = "on"
 	}
 	fmt.Fprintf(&b, "plan: language=%s, indexes=%s, cache=%s, probes=%d\n", langName(p.lang), indexes, cache, len(p.probes))
+	if join, ok := sqlxml.ExplainHashJoin(p.sqlStmt); ok {
+		fmt.Fprintf(&b, "join: hash on %s (nested-loop fallback on non-double keys or key errors)\n", join)
+	}
 	if p.lang == LangXQuery {
 		if p.partColl != "" {
 			fmt.Fprintf(&b, "partitionable: yes — document-at-a-time over collection %q (up to %d shards)\n",

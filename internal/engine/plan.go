@@ -494,9 +494,14 @@ func (e *Engine) execSQLPlan(p *plan, o ExecOptions, stats *Stats) (*sqlxml.Resu
 	if err != nil {
 		return nil, nil, err
 	}
-	stats.Trace.add("scan", fmt.Sprintf("%d rows, shards=%d", res.RowsScanned, res.ParallelShards), t0)
+	label := fmt.Sprintf("%d rows, shards=%d", res.RowsScanned, res.ParallelShards)
+	if res.HashJoin {
+		label += fmt.Sprintf(", hash join %d candidates", res.JoinCandidates)
+	}
+	stats.Trace.add("scan", label, t0)
 	// The executor's shard gather already combined per-worker counts;
 	// fold its totals through the one canonical merge point.
-	stats.merge(&Stats{RowsScanned: res.RowsScanned, ParallelShards: res.ParallelShards})
+	stats.merge(&Stats{RowsScanned: res.RowsScanned, ParallelShards: res.ParallelShards,
+		HashJoin: res.HashJoin, JoinCandidates: res.JoinCandidates})
 	return res, stats, nil
 }

@@ -24,6 +24,7 @@ func (s *Stats) merge(o *Stats) {
 	s.DocsTotal += o.DocsTotal
 	s.DocsScanned += o.DocsScanned
 	s.RowsScanned += o.RowsScanned
+	s.JoinCandidates += o.JoinCandidates
 	s.SynopsisSkips += o.SynopsisSkips
 	s.NodesDecoded += o.NodesDecoded
 	s.NodesSeeded += o.NodesSeeded
@@ -39,6 +40,7 @@ func (s *Stats) merge(o *Stats) {
 	// Flags or.
 	s.SynopsisAnswered = s.SynopsisAnswered || o.SynopsisAnswered
 	s.IndexOnlyAnswered = s.IndexOnlyAnswered || o.IndexOnlyAnswered
+	s.HashJoin = s.HashJoin || o.HashJoin
 	// Spans concatenate onto the parent trace (nil-safe both ways).
 	if o.Trace != nil {
 		if s.Trace == nil {
@@ -64,6 +66,9 @@ func (s *Stats) Summary() string {
 	}
 	if s.RowsScanned > 0 {
 		fmt.Fprintf(&b, "; rows scanned %d", s.RowsScanned)
+	}
+	if s.HashJoin {
+		fmt.Fprintf(&b, "; hash join %d candidates", s.JoinCandidates)
 	}
 	if s.ParallelShards > 1 {
 		fmt.Fprintf(&b, "; shards %d", s.ParallelShards)

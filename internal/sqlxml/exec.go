@@ -61,6 +61,11 @@ type Result struct {
 	// ParallelShards is the worker count the outer scan used (0 or 1 =
 	// serial).
 	ParallelShards int
+	// HashJoin reports that the statement ran as a hash join (see
+	// hashJoin) rather than a nested loop; JoinCandidates then counts the
+	// row pairs it re-checked.
+	HashJoin       bool
+	JoinCandidates int
 }
 
 // Prefilter restricts which rows of FROM tables are scanned: it maps a
@@ -122,10 +127,7 @@ func (e *Executor) execDelete(s *Delete) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var cols []string
-	for _, c := range tab.Columns {
-		cols = append(cols, c.Name)
-	}
+	cols := columnNames(tab)
 	var doomed []uint32
 	for _, row := range tab.Rows() {
 		if err := e.Guard.Step(); err != nil {
@@ -254,27 +256,31 @@ func (e *Executor) execValues(s *Values) (*Result, error) {
 }
 
 func (e *Executor) execSelect(s *Select, pf Prefilter) (*Result, error) {
+	// Every FROM table's rows are resolved once per statement — by id
+	// when the pre-filter names them, so a selective SELECT never copies
+	// or visits the rest of the table — and every outer row and shard
+	// joins against that one snapshot.
+	tabs := make([]*fromTable, len(s.From))
+	for i, fi := range s.From {
+		if ft, ok := fi.(*FromTable); ok {
+			tab, err := e.Catalog.Table(ft.Table)
+			if err != nil {
+				return nil, err
+			}
+			tabs[i] = &fromTable{cols: columnNames(tab), rows: tableRows(tab, pf[i])}
+		}
+	}
 	res := &Result{}
 	// Resolve output column names first.
 	for i, item := range s.Items {
 		switch {
 		case item.Star:
-			for _, fi := range s.From {
-				ft, ok := fi.(*FromTable)
-				if !ok {
-					xt := fi.(*FromXMLTable)
-					for _, cn := range xmlTableColNames(xt) {
-						res.Columns = append(res.Columns, cn)
-					}
+			for fi, t := range tabs {
+				if t == nil {
+					res.Columns = append(res.Columns, xmlTableColNames(s.From[fi].(*FromXMLTable))...)
 					continue
 				}
-				tab, err := e.Catalog.Table(ft.Table)
-				if err != nil {
-					return nil, err
-				}
-				for _, c := range tab.Columns {
-					res.Columns = append(res.Columns, c.Name)
-				}
+				res.Columns = append(res.Columns, t.cols...)
 			}
 		case item.Alias != "":
 			res.Columns = append(res.Columns, item.Alias)
@@ -287,28 +293,41 @@ func (e *Executor) execSelect(s *Select, pf Prefilter) (*Result, error) {
 		}
 	}
 
-	// The outer FROM table's rows are resolved once per statement — by id
-	// when the pre-filter names them, so a selective SELECT never copies
-	// or visits the rest of the table. The join loop runs in one or more
-	// workers. With Parallel > 1 and at least minParallelRows outer rows
-	// (counted after the pre-filter), the outer rows are partitioned into
-	// contiguous shards, one worker each; shard outputs concatenate in
-	// shard order, which reproduces the serial row order exactly. Workers
-	// share the guard (atomic counters) and an output-row count for the
-	// result-item limit.
+	// A recognised XMLExists equality join (hashJoin) computes each outer
+	// row's candidate inner rows up front. The join loop runs in one or
+	// more workers. With Parallel > 1 and at least minParallelRows outer
+	// rows (counted after the pre-filter), the outer rows and their
+	// candidate lists are partitioned into contiguous shards, one worker
+	// each; shard outputs concatenate in shard order, which reproduces the
+	// serial row order exactly. Workers share the guard (atomic counters)
+	// and an output-row count for the result-item limit.
 	var outer []storage.Row
-	if len(s.From) > 0 {
-		if ft, ok := s.From[0].(*FromTable); ok {
-			tab, err := e.Catalog.Table(ft.Table)
-			if err != nil {
-				return nil, err
+	if len(tabs) > 0 && tabs[0] != nil {
+		outer = tabs[0].rows
+	}
+	var cand [][]int
+	if hj := recognizeHashJoin(s); hj != nil {
+		c, ok, err := hj.candidates(e, tabs)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			cand = c
+			res.HashJoin = true
+			// Each inner row was visited once, to compute its keys.
+			res.RowsScanned = len(tabs[1].rows)
+			for _, c := range cand {
+				res.JoinCandidates += len(c)
 			}
-			outer = tableRows(tab, pf[0])
 		}
 	}
 	var emitted atomic.Int64
-	newWorker := func(outer []storage.Row) *selectWorker {
-		return &selectWorker{e: e, s: s, pf: pf, outCols: res.Columns, emitted: &emitted, outer: outer}
+	newWorker := func(lo, hi int) *selectWorker {
+		w := &selectWorker{e: e, s: s, tabs: tabs, outCols: res.Columns, emitted: &emitted, outer: outer[lo:hi]}
+		if cand != nil {
+			w.cand = cand[lo:hi]
+		}
+		return w
 	}
 	var workers []*selectWorker
 	if par := e.Parallel; par > 1 && len(outer) >= minParallelRows {
@@ -319,7 +338,7 @@ func (e *Executor) execSelect(s *Select, pf Prefilter) (*Result, error) {
 		errs := make([]error, par)
 		var wg sync.WaitGroup
 		for i := 0; i < par; i++ {
-			ws[i] = newWorker(outer[i*len(outer)/par : (i+1)*len(outer)/par])
+			ws[i] = newWorker(i*len(outer)/par, (i+1)*len(outer)/par)
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
@@ -341,7 +360,7 @@ func (e *Executor) execSelect(s *Select, pf Prefilter) (*Result, error) {
 		res.ParallelShards = par
 	}
 	if workers == nil {
-		w := newWorker(outer)
+		w := newWorker(0, len(outer))
 		if err := w.loop(0); err != nil {
 			return nil, err
 		}
@@ -388,6 +407,13 @@ func (e *Executor) execSelect(s *Select, pf Prefilter) (*Result, error) {
 // variable so tests can lower it.
 var minParallelRows = 32
 
+// fromTable is one FROM table resolved for a statement: its column names
+// and a single snapshot of the rows it contributes.
+type fromTable struct {
+	cols []string
+	rows []storage.Row
+}
+
 // tableRows snapshots the rows one FROM table contributes to a scan: the
 // whole table, or — when the pre-filter names the admissible ids — just
 // those rows, fetched by id in row order.
@@ -396,6 +422,14 @@ func tableRows(tab *storage.Table, allowed postings.List) []storage.Row {
 		return tab.RowsByID(allowed)
 	}
 	return tab.Rows()
+}
+
+func columnNames(tab *storage.Table) []string {
+	cols := make([]string, len(tab.Columns))
+	for i, c := range tab.Columns {
+		cols[i] = c.Name
+	}
+	return cols
 }
 
 // keyedRow pairs an output row with its ORDER BY keys.
@@ -412,12 +446,16 @@ type keyedRow struct {
 type selectWorker struct {
 	e       *Executor
 	s       *Select
-	pf      Prefilter
+	tabs    []*fromTable // per FROM item; nil for XMLTable items
 	outCols []string
 	emitted *atomic.Int64
 	// outer holds this worker's rows of the first FROM table (its shard,
-	// or all of them when serial), resolved once per statement.
+	// or all of them when serial).
 	outer []storage.Row
+	// cand, under a hash join, lists each outer row's candidate inner-row
+	// positions (parallel to outer); nil runs the nested loop.
+	cand [][]int
+	oi   int // the current outer row's position in outer
 
 	env     []binding
 	rows    [][]ResultCell
@@ -426,9 +464,10 @@ type selectWorker struct {
 }
 
 // loop recurses over the FROM items. The first FROM table scans the
-// worker's pre-resolved outer rows; later ones resolve theirs per outer
-// row. Each visited row costs one guard step, so a pre-filter that
-// keeps few rows also spends few steps.
+// worker's outer rows; later ones scan the statement's snapshot of their
+// table, or — under a hash join — just the outer row's candidates. Each
+// visited row costs one guard step, so a pre-filter that keeps few rows
+// also spends few steps.
 func (w *selectWorker) loop(i int) error {
 	e, s := w.e, w.s
 	if i == len(s.From) {
@@ -436,32 +475,35 @@ func (w *selectWorker) loop(i int) error {
 	}
 	switch fi := s.From[i].(type) {
 	case *FromTable:
-		tab, err := e.Catalog.Table(fi.Table)
-		if err != nil {
-			return err
+		t := w.tabs[i]
+		if i == 1 && w.cand != nil {
+			// The inner rows were counted once, when their keys were
+			// built; emit re-checks each candidate with the full XMLExists.
+			for _, j := range w.cand[w.oi] {
+				if err := e.Guard.Step(); err != nil {
+					return err
+				}
+				if err := w.bind(i, fi.Alias, t.cols, t.rows[j]); err != nil {
+					return err
+				}
+			}
+			return nil
 		}
-		var cols []string
-		for _, c := range tab.Columns {
-			cols = append(cols, c.Name)
+		rows := t.rows
+		if i == 0 {
+			rows = w.outer
 		}
-		rows := w.outer
-		if i > 0 {
-			rows = tableRows(tab, w.pf[i])
-		}
-		for _, row := range rows {
+		for ri, row := range rows {
 			if err := e.Guard.Step(); err != nil {
 				return err
 			}
 			w.scanned++
-			cells := make([]ResultCell, len(row.Cells))
-			for ci, cell := range row.Cells {
-				cells[ci] = storageCellToResult(cell)
+			if i == 0 {
+				w.oi = ri
 			}
-			w.env = append(w.env, binding{alias: fi.Alias, cols: cols, cells: cells})
-			if err := w.loop(i + 1); err != nil {
+			if err := w.bind(i, fi.Alias, t.cols, row); err != nil {
 				return err
 			}
-			w.env = w.env[:len(w.env)-1]
 		}
 		return nil
 	case *FromXMLTable:
@@ -479,6 +521,21 @@ func (w *selectWorker) loop(i int) error {
 		return nil
 	}
 	return fmt.Errorf("unsupported FROM item")
+}
+
+// bind adds one base row to the current join row and recurses into the
+// next FROM item.
+func (w *selectWorker) bind(i int, alias string, cols []string, row storage.Row) error {
+	cells := make([]ResultCell, len(row.Cells))
+	for ci, cell := range row.Cells {
+		cells[ci] = storageCellToResult(cell)
+	}
+	w.env = append(w.env, binding{alias: alias, cols: cols, cells: cells})
+	if err := w.loop(i + 1); err != nil {
+		return err
+	}
+	w.env = w.env[:len(w.env)-1]
+	return nil
 }
 
 // emit evaluates WHERE and the select list for the current join row.
@@ -685,16 +742,22 @@ func (e *Executor) passingVars(items []PassItem, env []binding) (xquery.StaticVa
 		if err != nil {
 			return nil, err
 		}
-		switch {
-		case v.Null:
-			vars[it.As] = nil
-		case v.IsXML:
-			vars[it.As] = v.XML
-		default:
-			vars[it.As] = xdm.Sequence{v.V}
-		}
+		vars[it.As] = xqueryValue(v)
 	}
 	return vars, nil
+}
+
+// xqueryValue is the XQuery value a PASSING cell binds: the empty
+// sequence for NULL, the XML sequence, or the scalar as one atomic item.
+func xqueryValue(v ResultCell) xdm.Sequence {
+	switch {
+	case v.Null:
+		return nil
+	case v.IsXML:
+		return v.XML
+	default:
+		return xdm.Sequence{v.V}
+	}
 }
 
 // evalPredicate evaluates a WHERE predicate with SQL three-valued logic;
