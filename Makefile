@@ -99,10 +99,12 @@ loadtest:
 	kill -TERM $$pid; wait $$pid; \
 	grep -q 'drain:' loadtest-server.log
 
-# Short fuzz burns over the parser entry points; failures become seed
-# corpus regressions under testdata/fuzz/.
+# Short fuzz burns over the parser entry points and the path-step
+# differential; failures become seed corpus regressions under
+# testdata/fuzz/.
 FUZZTIME ?= 15s
 
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParseDoc -fuzztime=$(FUZZTIME) ./internal/xmlparse
 	$(GO) test -run='^$$' -fuzz=FuzzXQueryParse -fuzztime=$(FUZZTIME) ./internal/xquery
+	$(GO) test -run='^$$' -fuzz=FuzzPathStepOrder -fuzztime=$(FUZZTIME) ./internal/xquery

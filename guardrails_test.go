@@ -200,6 +200,34 @@ func TestMaxEvalStepsQ16HashJoin(t *testing.T) {
 	}
 }
 
+// TestMaxEvalStepsDescendantStep pins the step cost of a fused `//x[cmp]`
+// step: one guard step per context node instead of a child step per node
+// of the document, so a budget that the two-step evaluation exceeds
+// (about 5 500 steps here) now suffices, with indexes on and off alike.
+func TestMaxEvalStepsDescendantStep(t *testing.T) {
+	db := Open()
+	db.MustExecSQL(`create table t (id integer, doc xml)`)
+	for i := 0; i < 20; i++ {
+		var b strings.Builder
+		b.WriteString("<r>")
+		for j := 0; j < 30; j++ {
+			fmt.Fprintf(&b, `<g><h><k>text</k></h><item p="%d"/></g>`, j)
+		}
+		b.WriteString("</r>")
+		db.MustExecSQL(fmt.Sprintf(`insert into t values (%d, '%s')`, i, b.String()))
+	}
+	db.MustExecSQL(`create index t_p on t(doc) using xmlpattern '//item/@p' as double`)
+	const q = `db2-fn:xmlcolumn("T.DOC")//item[@p > 5]`
+	opts := QueryOptions{MaxEvalSteps: 4000}
+	for _, useIndexes := range []bool{true, false} {
+		db.UseIndexes = useIndexes
+		res, _, err := db.QueryXQueryOpts(q, opts)
+		if err != nil || res.Len() != 20*24 {
+			t.Fatalf("indexes=%v: fused // step within %d steps: err=%v", useIndexes, opts.MaxEvalSteps, err)
+		}
+	}
+}
+
 func TestParseLimits(t *testing.T) {
 	db := Open()
 	db.MustExecSQL(`create table t (a integer)`)

@@ -29,22 +29,53 @@ func (o CompareOp) GeneralSymbol() string {
 }
 
 // Atomize converts a sequence of items to a sequence of atomic values
-// (fn:data over each item).
+// (fn:data over each item). Values pass through without re-boxing, and an
+// unannotated node boxes its one untypedAtomic value directly.
 func Atomize(seq Sequence) (Sequence, error) {
 	out := make(Sequence, 0, len(seq))
+	var buf [1]Value
 	for _, it := range seq {
-		switch x := it.(type) {
-		case Value:
-			out = append(out, x)
-		case *Node:
-			tv, err := x.TypedValue()
+		n, ok := it.(*Node)
+		switch {
+		case !ok:
+			out = append(out, it)
+		case !n.TypeAnn.Valid:
+			out = append(out, NewUntyped(n.StringValue()))
+		default:
+			vals, err := n.appendTypedValue(buf[:0])
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, tv...)
+			out = appendBoxed(out, vals)
 		}
 	}
 	return out, nil
+}
+
+// AppendAtoms appends the atomized items of seq (fn:data over each item)
+// to dst without boxing them. Callers that only compare the values pass a
+// stack buffer, so a singleton operand costs no allocation.
+func AppendAtoms(dst []Value, seq Sequence) ([]Value, error) {
+	for _, it := range seq {
+		switch x := it.(type) {
+		case Value:
+			dst = append(dst, x)
+		case *Node:
+			var err error
+			if dst, err = x.appendTypedValue(dst); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return dst, nil
+}
+
+// appendBoxed appends vals to seq as items.
+func appendBoxed(seq Sequence, vals []Value) Sequence {
+	for _, v := range vals {
+		seq = append(seq, v)
+	}
+	return seq
 }
 
 // ValueCompare implements the XQuery value comparison of two atomic
@@ -179,17 +210,18 @@ func generalTarget(t Type) Type {
 // with prices 250 and 50 satisfying [price > 100 and price < 200] — is a
 // direct consequence of this semantics.
 func GeneralCompare(op CompareOp, left, right Sequence) (bool, error) {
-	la, err := Atomize(left)
+	var lbuf, rbuf [1]Value
+	la, err := AppendAtoms(lbuf[:0], left)
 	if err != nil {
 		return false, err
 	}
-	ra, err := Atomize(right)
+	ra, err := AppendAtoms(rbuf[:0], right)
 	if err != nil {
 		return false, err
 	}
 	for _, li := range la {
 		for _, ri := range ra {
-			ok, err := generalPair(op, li.(Value), ri.(Value))
+			ok, err := generalPair(op, li, ri)
 			if err != nil {
 				return false, err
 			}

@@ -158,54 +158,76 @@ func (n *Node) Root() *Node {
 // StringValue returns the XDM string value: for elements and documents the
 // concatenation of all descendant text nodes, for other kinds the node
 // content. The paper's §3.8 pitfall (an element with several text children
-// indexing as "99.50USD") falls directly out of this definition.
+// indexing as "99.50USD") falls directly out of this definition. An element
+// whose only child is a text node returns that text without copying it.
 func (n *Node) StringValue() string {
 	switch n.Kind {
 	case ElementNode, DocumentNode:
-		var b strings.Builder
-		var walk func(*Node)
-		walk = func(m *Node) {
-			if m.Kind == TextNode {
-				b.WriteString(m.Text)
-				return
-			}
-			for _, c := range m.Children {
-				walk(c)
-			}
+		if len(n.Children) == 1 && n.Children[0].Kind == TextNode {
+			return n.Children[0].Text
 		}
-		walk(n)
+		var b strings.Builder
+		n.writeText(&b)
 		return b.String()
 	default:
 		return n.Text
 	}
 }
 
+// writeText writes the text of every descendant text node of n in
+// document order.
+func (n *Node) writeText(b *strings.Builder) {
+	for _, c := range n.Children {
+		if c.Kind == TextNode {
+			b.WriteString(c.Text)
+		} else {
+			c.writeText(b)
+		}
+	}
+}
+
 // TypedValue returns the typed value of the node as a sequence of atomic
 // values. Unannotated elements and attributes atomize to untypedAtomic;
 // annotated nodes atomize to their declared type; list types atomize to
-// one value per whitespace-separated token.
+// one value per whitespace-separated token. It boxes what appendTypedValue
+// produces.
 func (n *Node) TypedValue() (Sequence, error) {
+	if !n.TypeAnn.Valid {
+		return Sequence{NewUntyped(n.StringValue())}, nil
+	}
+	var buf [1]Value
+	vals, err := n.appendTypedValue(buf[:0])
+	if err != nil {
+		return nil, err
+	}
+	return appendBoxed(make(Sequence, 0, len(vals)), vals), nil
+}
+
+// appendTypedValue appends the typed value of the node to dst. It is the
+// one atomizer of nodes: AppendAtoms calls it for every node, TypedValue
+// and Atomize for annotated ones (an unannotated node is one
+// untypedAtomic value, which they box directly).
+func (n *Node) appendTypedValue(dst []Value) ([]Value, error) {
 	sv := n.StringValue()
 	ann := n.TypeAnn
 	if !ann.Valid {
-		return Sequence{NewUntyped(sv)}, nil
+		return append(dst, NewUntyped(sv)), nil
 	}
 	if ann.IsList {
-		var out Sequence
 		for _, tok := range strings.Fields(sv) {
 			v, err := NewUntyped(tok).Cast(ann.T)
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, v)
+			dst = append(dst, v)
 		}
-		return out, nil
+		return dst, nil
 	}
 	v, err := NewUntyped(sv).Cast(ann.T)
 	if err != nil {
 		return nil, err
 	}
-	return Sequence{v}, nil
+	return append(dst, v), nil
 }
 
 // Is reports node identity (the XQuery `is` operator).
@@ -310,28 +332,43 @@ func (q QName) stepString(attr bool) string {
 	return s
 }
 
-// SortDocumentOrder sorts nodes in document order and removes duplicates
-// by identity, in place, returning the deduplicated slice. This is the
-// normalization applied after every path step and union.
-func SortDocumentOrder(nodes []*Node) []*Node {
-	if len(nodes) < 2 {
-		return nodes
+// SortDocumentOrder puts a sequence of nodes into document order and
+// removes duplicates by identity: the normalization of a path step's
+// output and of union, intersect and except. A sequence that is already
+// strictly in document order, as a step from one context node yields, is
+// returned as it is after one pass; strict order also rules out
+// duplicates. Otherwise seq is merge-sorted and deduplicated in place with
+// one scratch buffer, so the caller must own seq. A sequence holding an
+// atomic value is returned unchanged.
+func SortDocumentOrder(seq Sequence) Sequence {
+	ordered := true
+	var prev *Node
+	for _, it := range seq {
+		n, ok := it.(*Node)
+		if !ok {
+			return seq
+		}
+		if prev != nil && !prev.Before(n) {
+			ordered = false
+		}
+		prev = n
 	}
-	// Insertion of node slices is typically nearly sorted; a simple
-	// merge sort keeps worst cases predictable.
-	sorted := make([]*Node, len(nodes))
-	copy(sorted, nodes)
-	mergeSortNodes(sorted, make([]*Node, len(sorted)))
-	out := sorted[:1]
-	for _, n := range sorted[1:] {
-		if !n.Is(out[len(out)-1]) {
-			out = append(out, n)
+	if ordered {
+		return seq
+	}
+	mergeSortNodes(seq, make(Sequence, len(seq)))
+	out := seq[:1]
+	for _, it := range seq[1:] {
+		if !it.(*Node).Is(out[len(out)-1].(*Node)) {
+			out = append(out, it)
 		}
 	}
 	return out
 }
 
-func mergeSortNodes(a, tmp []*Node) {
+// mergeSortNodes sorts the nodes of a into document order, stably, using
+// tmp (as long as a) as scratch.
+func mergeSortNodes(a, tmp Sequence) {
 	if len(a) < 2 {
 		return
 	}
@@ -348,7 +385,7 @@ func mergeSortNodes(a, tmp []*Node) {
 		case j >= len(a):
 			a[k] = tmp[i]
 			i++
-		case tmp[j].Before(tmp[i]):
+		case tmp[j].(*Node).Before(tmp[i].(*Node)):
 			a[k] = tmp[j]
 			j++
 		default:

@@ -167,12 +167,12 @@ func TestSortDocumentOrderDedup(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	dup := append(append([]*Node{}, all...), all...)
 	r.Shuffle(len(dup), func(i, j int) { dup[i], dup[j] = dup[j], dup[i] })
-	got := SortDocumentOrder(dup)
+	got := SortDocumentOrder(nodeSeq(dup))
 	if len(got) != len(all) {
 		t.Fatalf("dedup: got %d nodes, want %d", len(got), len(all))
 	}
 	for i := range got {
-		if !got[i].Is(all[i]) {
+		if !got[i].(*Node).Is(all[i]) {
 			t.Fatalf("order mismatch at %d", i)
 		}
 	}
@@ -187,9 +187,9 @@ func TestSortDocumentOrderProperty(t *testing.T) {
 		for _, p := range picks {
 			in = append(in, all[int(p)%len(all)])
 		}
-		out := SortDocumentOrder(in)
+		out := SortDocumentOrder(nodeSeq(in))
 		for i := 1; i < len(out); i++ {
-			if !out[i-1].Before(out[i]) {
+			if !out[i-1].(*Node).Before(out[i].(*Node)) {
 				return false
 			}
 		}

@@ -163,14 +163,15 @@ func eval(e Expr, ctx evalCtx) (xdm.Sequence, error) {
 		if err != nil {
 			return nil, err
 		}
-		a, err := xdm.Atomize(seq)
+		var buf [1]xdm.Value
+		a, err := xdm.AppendAtoms(buf[:0], seq)
 		if err != nil {
 			return nil, err
 		}
 		if len(a) != 1 {
 			return xdm.Sequence{xdm.NewBoolean(false)}, nil
 		}
-		_, castErr := a[0].(xdm.Value).Cast(x.Target)
+		_, castErr := a[0].Cast(x.Target)
 		return xdm.Sequence{xdm.NewBoolean(castErr == nil)}, nil
 	case *InstanceOfExpr:
 		return evalInstanceOf(x, ctx)
@@ -382,11 +383,12 @@ func evalComparison(c *Comparison, ctx evalCtx) (xdm.Sequence, error) {
 		}
 		return xdm.Sequence{xdm.NewBoolean(ok)}, nil
 	case ValueComp:
-		la, err := xdm.Atomize(left)
+		var lbuf, rbuf [1]xdm.Value
+		la, err := xdm.AppendAtoms(lbuf[:0], left)
 		if err != nil {
 			return nil, err
 		}
-		ra, err := xdm.Atomize(right)
+		ra, err := xdm.AppendAtoms(rbuf[:0], right)
 		if err != nil {
 			return nil, err
 		}
@@ -398,7 +400,7 @@ func evalComparison(c *Comparison, ctx evalCtx) (xdm.Sequence, error) {
 			// with two prices makes `price gt 100` fail at runtime.
 			return nil, fmt.Errorf("value comparison %s requires singleton operands (got %d and %d items)", c.Op, len(la), len(ra))
 		}
-		ok, err := xdm.ValueCompare(c.Op, la[0].(xdm.Value), ra[0].(xdm.Value))
+		ok, err := xdm.ValueCompare(c.Op, la[0], ra[0])
 		if err != nil {
 			return nil, err
 		}
@@ -506,18 +508,20 @@ func evalSetOp(b *BinaryExpr, ctx evalCtx) (xdm.Sequence, error) {
 	if err != nil {
 		return nil, err
 	}
-	inRight := func(n *xdm.Node) bool {
+	inRight := func(it xdm.Item) bool {
 		for _, m := range rnodes {
-			if n.Is(m) {
+			if it.(*xdm.Node).Is(m.(*xdm.Node)) {
 				return true
 			}
 		}
 		return false
 	}
-	var merged []*xdm.Node
+	// merged is always a fresh sequence: SortDocumentOrder sorts it in
+	// place, and the operands may be variables' sequences.
+	var merged xdm.Sequence
 	switch b.Op {
 	case "union":
-		merged = append(append(merged, lnodes...), rnodes...)
+		merged = append(append(make(xdm.Sequence, 0, len(lnodes)+len(rnodes)), lnodes...), rnodes...)
 	case "intersect":
 		for _, n := range lnodes {
 			if inRight(n) {
@@ -533,28 +537,22 @@ func evalSetOp(b *BinaryExpr, ctx evalCtx) (xdm.Sequence, error) {
 			}
 		}
 	}
-	merged = xdm.SortDocumentOrder(merged)
-	out := make(xdm.Sequence, len(merged))
-	for i, n := range merged {
-		out[i] = n
-	}
-	return out, nil
+	return xdm.SortDocumentOrder(merged), nil
 }
 
-func evalNodeSeq(e Expr, ctx evalCtx, op string) ([]*xdm.Node, error) {
+// evalNodeSeq evaluates a set operator's operand, which must hold only
+// nodes.
+func evalNodeSeq(e Expr, ctx evalCtx, op string) (xdm.Sequence, error) {
 	seq, err := eval(e, ctx)
 	if err != nil {
 		return nil, err
 	}
-	nodes := make([]*xdm.Node, 0, len(seq))
 	for _, it := range seq {
-		n, ok := it.(*xdm.Node)
-		if !ok {
+		if _, ok := it.(*xdm.Node); !ok {
 			return nil, fmt.Errorf("operand of %s contains an atomic value", op)
 		}
-		nodes = append(nodes, n)
 	}
-	return nodes, nil
+	return seq, nil
 }
 
 func atomizeSingletonNumber(e Expr, ctx evalCtx) (*float64, error) {
@@ -562,7 +560,8 @@ func atomizeSingletonNumber(e Expr, ctx evalCtx) (*float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	a, err := xdm.Atomize(seq)
+	var buf [1]xdm.Value
+	a, err := xdm.AppendAtoms(buf[:0], seq)
 	if err != nil {
 		return nil, err
 	}
@@ -572,7 +571,7 @@ func atomizeSingletonNumber(e Expr, ctx evalCtx) (*float64, error) {
 	if len(a) > 1 {
 		return nil, fmt.Errorf("expected singleton numeric operand")
 	}
-	v := a[0].(xdm.Value)
+	v := a[0]
 	if v.T == xdm.UntypedAtomic {
 		c, err := v.Cast(xdm.Double)
 		if err != nil {
@@ -639,7 +638,8 @@ func evalCast(c *CastExpr, ctx evalCtx) (xdm.Sequence, error) {
 	if err != nil {
 		return nil, err
 	}
-	a, err := xdm.Atomize(seq)
+	var buf [1]xdm.Value
+	a, err := xdm.AppendAtoms(buf[:0], seq)
 	if err != nil {
 		return nil, err
 	}
@@ -649,7 +649,7 @@ func evalCast(c *CastExpr, ctx evalCtx) (xdm.Sequence, error) {
 	if len(a) > 1 {
 		return nil, fmt.Errorf("cast to xs:%s requires a singleton, got %d items", c.Target, len(a))
 	}
-	v, err := a[0].(xdm.Value).Cast(c.Target)
+	v, err := a[0].Cast(c.Target)
 	if err != nil {
 		return nil, err
 	}
