@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race fmt-check verify bench bench-gate benchmark fuzz loadtest
+.PHONY: build test vet race fmt-check verify benchmark fuzz loadtest
 
 build:
 	$(GO) build ./...
@@ -31,38 +31,7 @@ race:
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-verify: fmt-check test vet race bench
-
-# Full-suite benchmark run emitting BENCH_PR2.json: every E1-E12 pair
-# plus the prepared-statement and parallelism pairs, with the paper's
-# scan-vs-indexed (and unprepared-vs-prepared, serial-vs-parallel)
-# speedup ratios computed by cmd/benchjson. The default BENCHTIME of 1x
-# is the smoke setting `make verify` uses; raise it for stable numbers:
-#
-#	make bench BENCHTIME=2s
-BENCHTIME ?= 1x
-BENCHOUT ?= BENCH_PR2.json
-
-bench: build
-	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) . > bench.out
-	$(GO) run ./cmd/benchjson -o $(BENCHOUT) bench.out
-
-# bench-gate: the small fixed subset CI *gates* on (the bench-gate job),
-# unlike the full non-gating sweep above. Three runs of three stable
-# pairs — the synopsis short-circuit (SynopsisOff/On), the index-only
-# answer (DocGranular/NodeGranular), and the seeded re-evaluation
-# (FullWalk/Seeded) — plus one unpaired kernel, the sorted-postings
-# combine (ProbePipeline_CombinePostingLists), are collapsed to a
-# per-benchmark median by `benchjson -agg median`; the CI job then diffs
-# BENCH_GATE.json against the previous run's artifact with
-# `benchdiff -fail-over 25`.
-GATEBENCH ?= SynopsisShortCircuit|ProbePipeline_Combine|IndexOnly_|SeededEval_
-GATECOUNT ?= 3
-GATETIME ?= 200x
-
-bench-gate: build
-	$(GO) test -run='^$$' -bench='$(GATEBENCH)' -benchmem -benchtime=$(GATETIME) -count=$(GATECOUNT) . > bench-gate.out
-	$(GO) run ./cmd/benchjson -agg median -o BENCH_GATE.json bench-gate.out
+verify: fmt-check test vet race
 
 # benchmark: the repo's benchmark (BENCHMARK.json, bench/README.md) as a
 # no-regression check — ten runs of every workload at this checkout,

@@ -153,23 +153,6 @@ type summary struct {
 	ShedRate   float64          `json:"shed_rate"`
 	ErrorCount int              `json:"transport_errors"`
 	LatencyMS  map[string]int64 `json:"latency_ms"`
-	// Benchmarks and Pairs make the artifact double as a cmd/benchjson
-	// Report, so cmd/benchdiff diffs two load-test runs exactly the way
-	// it diffs bench artifacts (the CI loadtest-diff step). Latency
-	// percentiles and mean request cost land as pseudo-benchmarks in
-	// true nanoseconds; shed_rate_pct carries the rate in percent
-	// through the ns_per_op field — benchdiff only compares ratios, so
-	// the unit label is cosmetic.
-	Benchmarks []benchmark `json:"benchmarks"`
-	Pairs      []struct{}  `json:"pairs"`
-}
-
-// benchmark mirrors the cmd/benchjson entry layout (the fields
-// cmd/benchdiff reads).
-type benchmark struct {
-	Name       string  `json:"name"`
-	Iterations int64   `json:"iterations"`
-	NsPerOp    float64 `json:"ns_per_op"`
 }
 
 func report(results []result, elapsed time.Duration, jsonOut string, out io.Writer) error {
@@ -209,16 +192,6 @@ func report(results []result, elapsed time.Duration, jsonOut string, out io.Writ
 			"p50": pct(0.50), "p90": pct(0.90), "p99": pct(0.99), "max": pct(1.0),
 		},
 	}
-	iters := int64(len(lats))
-	s.Benchmarks = []benchmark{
-		{Name: "ServerLoad/latency_p50", Iterations: iters, NsPerOp: float64(s.LatencyMS["p50"]) * 1e6},
-		{Name: "ServerLoad/latency_p90", Iterations: iters, NsPerOp: float64(s.LatencyMS["p90"]) * 1e6},
-		{Name: "ServerLoad/latency_p99", Iterations: iters, NsPerOp: float64(s.LatencyMS["p99"]) * 1e6},
-		{Name: "ServerLoad/latency_max", Iterations: iters, NsPerOp: float64(s.LatencyMS["max"]) * 1e6},
-		{Name: "ServerLoad/ns_per_request", Iterations: int64(s.Requests), NsPerOp: 1e9 / s.Throughput},
-		{Name: "ServerLoad/shed_rate_pct", Iterations: int64(shed), NsPerOp: 100 * s.ShedRate},
-	}
-	s.Pairs = make([]struct{}, 0)
 	fmt.Fprintf(out, "requests:     %d in %s (%.1f req/s)\n", s.Requests, elapsed.Round(time.Millisecond), s.Throughput)
 	keys := make([]string, 0, len(byStatus))
 	for k := range byStatus {

@@ -10,11 +10,9 @@ import (
 	"time"
 )
 
-// TestReportEmitsBenchjsonShape: the -json artifact must decode as a
-// cmd/benchjson Report (benchmarks + pairs) so cmd/benchdiff can diff
-// two load-test runs, with latency percentiles and shed rate carried as
-// pseudo-benchmarks.
-func TestReportEmitsBenchjsonShape(t *testing.T) {
+// TestReportSummaryShape: the -json artifact carries the latency
+// percentiles, throughput and shed rate the human report prints.
+func TestReportSummaryShape(t *testing.T) {
 	results := make([]result, 0, 100)
 	for i := 0; i < 100; i++ {
 		r := result{status: http.StatusOK, latency: time.Duration(i+1) * time.Millisecond}
@@ -33,43 +31,25 @@ func TestReportEmitsBenchjsonShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rep struct {
-		ShedRate   float64 `json:"shed_rate"`
-		Benchmarks []struct {
-			Name    string  `json:"name"`
-			NsPerOp float64 `json:"ns_per_op"`
-		} `json:"benchmarks"`
-		Pairs []struct{} `json:"pairs"`
-	}
+	var rep summary
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatalf("artifact not valid JSON: %v\n%s", err, data)
 	}
-	if !strings.Contains(string(data), `"pairs": []`) {
-		t.Errorf("pairs must marshal as [], not null:\n%s", data)
+	// p50 over 1..100ms is the 49th index.
+	if got := rep.LatencyMS["p50"]; got != 50 {
+		t.Errorf("latency p50 = %d ms, want 50", got)
 	}
-
-	byName := map[string]float64{}
-	for _, b := range rep.Benchmarks {
-		byName[b.Name] = b.NsPerOp
+	if got := rep.LatencyMS["max"]; got != 100 {
+		t.Errorf("latency max = %d ms, want 100", got)
 	}
-	// p50 over 1..100ms is the 49th index (benchdiff-ready nanoseconds).
-	if got := byName["ServerLoad/latency_p50"]; got != 50*1e6 {
-		t.Errorf("latency_p50 = %v ns, want %v", got, 50*1e6)
+	// 100 requests in 2s.
+	if rep.Requests != 100 || rep.Throughput < 49 || rep.Throughput > 51 {
+		t.Errorf("requests = %d at %v/s, want 100 at ~50/s", rep.Requests, rep.Throughput)
 	}
-	if got := byName["ServerLoad/latency_max"]; got != 100*1e6 {
-		t.Errorf("latency_max = %v ns, want %v", got, 100*1e6)
+	if rep.ShedRate != 0.10 || rep.ByStatus["429"] != 10 {
+		t.Errorf("shed_rate = %v with %d 429s, want 0.10 and 10", rep.ShedRate, rep.ByStatus["429"])
 	}
-	// 100 requests in 2s = 2e7 ns per request.
-	if got := byName["ServerLoad/ns_per_request"]; got < 1.9e7 || got > 2.1e7 {
-		t.Errorf("ns_per_request = %v, want ~2e7", got)
-	}
-	if got := byName["ServerLoad/shed_rate_pct"]; got != 10 {
-		t.Errorf("shed_rate_pct = %v, want 10", got)
-	}
-	if rep.ShedRate != 0.10 {
-		t.Errorf("shed_rate = %v, want 0.10", rep.ShedRate)
-	}
-	for _, want := range []string{"shed rate:", "latency ms:"} {
+	for _, want := range []string{"shed rate:    10.00%", "latency ms:   p50=50 p90=90 p99=99 max=100"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("human report missing %q:\n%s", want, out.String())
 		}

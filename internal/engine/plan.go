@@ -45,19 +45,19 @@ type ExecOptions struct {
 	// (4096).
 	SemiJoinMaxValues int
 	// NoProbeCache bypasses the per-index probe-result cache (neither
-	// read nor populated) — the uncached baseline for benchmarks and
-	// determinism tests.
+	// read nor populated) — the uncached baseline for determinism and
+	// equivalence tests.
 	NoProbeCache bool
 	// NoSynopsis disables the path-synopsis execution paths: probes the
 	// planner marked as short-circuited run against the index anyway,
 	// and structural-only queries evaluate normally. The no-synopsis
-	// baseline for benchmarks and equivalence tests. (Probe ranking is a
+	// baseline for equivalence tests. (Probe ranking is a
 	// plan-time property and is unaffected — it never changes results.)
 	NoSynopsis bool
 	// NoIndexOnly disables index-only answers: fn:count/fn:exists over
 	// a value predicate evaluates normally even when a node-granularity
-	// probe could answer it. The doc-granular baseline for benchmarks
-	// and equivalence tests.
+	// probe could answer it. The doc-granular baseline for equivalence
+	// tests.
 	NoIndexOnly bool
 	// NoNodeSeeds disables probe-guided re-evaluation: probes run at
 	// document granularity only and the evaluator walks every candidate

@@ -84,33 +84,6 @@ type QueryOptions struct {
 	// Trace collects timed execution spans (plan, per-probe, eval/scan,
 	// merge) on Stats.Trace. Untraced queries pay no tracing cost.
 	Trace bool
-	// SemiJoinMaxValues caps the distinct join values an index semi-join
-	// gathers before falling back to a full scan; 0 means the engine
-	// default (4096). Results are identical either way — the cap only
-	// trades probe work against scan work.
-	SemiJoinMaxValues int
-	// NoProbeCache bypasses the per-index probe-result cache for this
-	// query (neither consulted nor populated). Useful for benchmarking
-	// the uncached path; results are identical either way.
-	NoProbeCache bool
-	// NoSynopsis disables path-synopsis short-circuits for this query:
-	// probes whose patterns match no stored path run against the index
-	// anyway, and structural-only queries (fn:count/fn:exists of a
-	// path) evaluate over the documents instead of being answered from
-	// the synopsis. The baseline for benchmarks and equivalence tests;
-	// results are identical either way.
-	NoSynopsis bool
-	// NoIndexOnly disables index-only answers for this query:
-	// fn:count/fn:exists over a value predicate evaluates over the
-	// documents instead of being answered from a node-granularity index
-	// probe. The baseline for benchmarks and equivalence tests; results
-	// are identical either way.
-	NoIndexOnly bool
-	// NoNodeSeeds disables probe-guided re-evaluation for this query:
-	// value probes run at document granularity and the evaluator walks
-	// every surviving document in full instead of jumping to the matched
-	// nodes and their ancestors. Results are identical either way.
-	NoNodeSeeds bool
 	// SlowThreshold enables the slow-query hook: a query whose wall-clock
 	// time reaches the threshold increments the "queries.slow" metric and,
 	// when OnSlow is set, invokes it. 0 disables.
@@ -175,16 +148,11 @@ func wrapQueryErr(query string, err error) error {
 // options.
 func (db *DB) engineOptions(opts QueryOptions, prepared bool) engine.ExecOptions {
 	return engine.ExecOptions{
-		Guard:             opts.guard(),
-		UseIndexes:        db.UseIndexes,
-		Parallelism:       opts.Parallelism,
-		Prepared:          prepared,
-		Trace:             opts.Trace || (opts.SlowThreshold > 0 && opts.OnSlow != nil),
-		SemiJoinMaxValues: opts.SemiJoinMaxValues,
-		NoProbeCache:      opts.NoProbeCache,
-		NoSynopsis:        opts.NoSynopsis,
-		NoIndexOnly:       opts.NoIndexOnly,
-		NoNodeSeeds:       opts.NoNodeSeeds,
+		Guard:       opts.guard(),
+		UseIndexes:  db.UseIndexes,
+		Parallelism: opts.Parallelism,
+		Prepared:    prepared,
+		Trace:       opts.Trace || (opts.SlowThreshold > 0 && opts.OnSlow != nil),
 	}
 }
 
