@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race fmt-check verify benchmark fuzz loadtest
+.PHONY: build test vet race fmt-check verify benchmark fuzz loadtest loc
 
 build:
 	$(GO) build ./...
@@ -68,12 +68,21 @@ loadtest:
 	kill -TERM $$pid; wait $$pid; \
 	grep -q 'drain:' loadtest-server.log
 
-# Short fuzz burns over the parser entry points and the path-step
-# differential; failures become seed corpus regressions under
-# testdata/fuzz/.
+# Short fuzz burns over the parser entry points, the path-step
+# differential and the index/synopsis agreement check; failures become
+# seed corpus regressions under testdata/fuzz/.
 FUZZTIME ?= 15s
 
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParseDoc -fuzztime=$(FUZZTIME) ./internal/xmlparse
 	$(GO) test -run='^$$' -fuzz=FuzzXQueryParse -fuzztime=$(FUZZTIME) ./internal/xquery
 	$(GO) test -run='^$$' -fuzz=FuzzPathStepOrder -fuzztime=$(FUZZTIME) ./internal/xquery
+	$(GO) test -run='^$$' -fuzz=FuzzIndexSynopsisAgree -fuzztime=$(FUZZTIME) ./internal/xmlindex
+
+# loc prints the line counts a change reports: non-test Go outside bench/
+# and testdata/, then the test Go lines under the same exclusions.
+LOCFIND = find . -name '*.go' -not -path './bench/*' -not -path '*/testdata/*'
+
+loc:
+	@echo "non-test Go lines: $$($(LOCFIND) -not -name '*_test.go' -exec cat {} + | wc -l)"
+	@echo "test Go lines:     $$($(LOCFIND) -name '*_test.go' -exec cat {} + | wc -l)"

@@ -15,6 +15,9 @@
 //     every node path matched by Q also match I? This is the structural
 //     half of Definition 1; §3.7 (namespaces), §3.8 (text() alignment)
 //     and §3.9 (attribute axes) are all containment questions.
+//
+// Walker produces the concrete label paths Match consumes, one walk for
+// index maintenance, bulk extraction and the path synopsis.
 package pattern
 
 import (

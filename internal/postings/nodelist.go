@@ -127,98 +127,6 @@ func IntersectNodes(a, b NodeList) NodeList {
 	return out
 }
 
-// nodeCursor is one input list's head inside the union merge heap.
-type nodeCursor struct {
-	val uint64
-	li  int // index into the live-list slice
-	pos int // position of val within that list
-}
-
-// UnionNodes returns the sorted union of the given lists via a k-way
-// merge over a binary min-heap of cursors, emitting stretches up to the
-// next-smallest head so a run costs one siftDown instead of one per
-// element — the NodeList twin of Union.
-func UnionNodes(lists ...NodeList) NodeList {
-	live := make([]NodeList, 0, len(lists))
-	total := 0
-	for i := 0; i < len(lists); i++ {
-		if len(lists[i]) > 0 {
-			live = append(live, lists[i])
-			total += len(lists[i])
-		}
-	}
-	switch len(live) {
-	case 0:
-		return NodeList{}
-	case 1:
-		return live[0]
-	case 2:
-		return unionNodes2(live[0], live[1])
-	}
-	h := make([]nodeCursor, len(live))
-	for i := 0; i < len(live); i++ {
-		h[i] = nodeCursor{val: live[i][0], li: i}
-	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDownNodes(h, i)
-	}
-	out := make(NodeList, 0, total)
-	for len(h) > 0 {
-		c := h[0]
-		l := live[c.li]
-		limit := ^uint64(0)
-		if len(h) > 1 {
-			limit = h[1].val
-			if len(h) > 2 && h[2].val < limit {
-				limit = h[2].val
-			}
-		}
-		pos := c.pos
-		for {
-			v := l[pos]
-			if v > limit {
-				break
-			}
-			if n := len(out); n == 0 || out[n-1] != v {
-				out = append(out, v)
-			}
-			pos++
-			if pos == len(l) {
-				break
-			}
-		}
-		if pos < len(l) {
-			h[0].pos = pos
-			h[0].val = l[pos]
-		} else {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-		}
-		if len(h) > 0 {
-			siftDownNodes(h, 0)
-		}
-	}
-	return out
-}
-
-// siftDownNodes restores the min-heap property below index i.
-func siftDownNodes(h []nodeCursor, i int) {
-	for {
-		min := i
-		if l := 2*i + 1; l < len(h) && h[l].val < h[min].val {
-			min = l
-		}
-		if r := 2*i + 2; r < len(h) && h[r].val < h[min].val {
-			min = r
-		}
-		if min == i {
-			return
-		}
-		h[i], h[min] = h[min], h[i]
-		i = min
-	}
-}
-
 // unionNodes2 merges two sorted lists linearly.
 func unionNodes2(a, b NodeList) NodeList {
 	out := make(NodeList, 0, len(a)+len(b))
@@ -250,23 +158,6 @@ func (l NodeList) Docs() List {
 		if n := len(out); n == 0 || out[n-1] != d {
 			out = append(out, d)
 		}
-	}
-	return out
-}
-
-// DocOrdinals returns the ordinals of the nodes belonging to one
-// document, as a sorted ordinal list. Binary search bounds the
-// document's contiguous run; the copy is what lets callers treat the
-// result as an independent sorted uint32 set.
-func (l NodeList) DocOrdinals(doc uint32) List {
-	lo := l.lowerBound(0, len(l), PackNode(doc, 0))
-	hi := l.lowerBound(lo, len(l), PackNode(doc+1, 0))
-	if lo == hi {
-		return List{}
-	}
-	out := make(List, hi-lo)
-	for i := lo; i < hi; i++ {
-		out[i-lo] = NodeOrd(l[i])
 	}
 	return out
 }

@@ -71,32 +71,10 @@ func TestIntersectNodes(t *testing.T) {
 	}
 }
 
-func TestUnionNodesAndDocsProjection(t *testing.T) {
-	lists := []NodeList{
-		refs([2]uint32{1, 1}, [2]uint32{3, 2}),
-		refs([2]uint32{1, 1}, [2]uint32{2, 7}),
-		refs([2]uint32{3, 1}, [2]uint32{3, 2}, [2]uint32{4, 4}),
-	}
-	got := UnionNodes(lists...)
-	want := refs([2]uint32{1, 1}, [2]uint32{2, 7}, [2]uint32{3, 1}, [2]uint32{3, 2}, [2]uint32{4, 4})
-	if !slices.Equal(got, want) {
-		t.Fatalf("UnionNodes = %v, want %v", got, want)
-	}
-	if docs := got.Docs(); !slices.Equal(docs, List{1, 2, 3, 4}) {
+func TestDocsProjection(t *testing.T) {
+	l := refs([2]uint32{1, 1}, [2]uint32{2, 7}, [2]uint32{3, 1}, [2]uint32{3, 2}, [2]uint32{4, 4})
+	if docs := l.Docs(); !slices.Equal(docs, List{1, 2, 3, 4}) {
 		t.Fatalf("Docs = %v, want [1 2 3 4]", docs)
-	}
-}
-
-func TestDocOrdinals(t *testing.T) {
-	l := refs([2]uint32{1, 3}, [2]uint32{2, 1}, [2]uint32{2, 5}, [2]uint32{2, 9}, [2]uint32{4, 0})
-	if got := l.DocOrdinals(2); !slices.Equal(got, List{1, 5, 9}) {
-		t.Fatalf("DocOrdinals(2) = %v", got)
-	}
-	if got := l.DocOrdinals(3); len(got) != 0 {
-		t.Fatalf("DocOrdinals(3) = %v, want empty", got)
-	}
-	if got := l.DocOrdinals(4); !slices.Equal(got, List{0}) {
-		t.Fatalf("DocOrdinals(4) = %v", got)
 	}
 }
 
@@ -118,7 +96,7 @@ func TestNodeKernelsRandomizedAgainstReference(t *testing.T) {
 		return out
 	}
 	for iter := 0; iter < 200; iter++ {
-		a, b, c := randList(), randList(), randList()
+		a, b := randList(), randList()
 		ref := make(map[uint64]bool)
 		for _, x := range a {
 			if b.Contains(x) {
@@ -134,9 +112,9 @@ func TestNodeKernelsRandomizedAgainstReference(t *testing.T) {
 				t.Fatalf("iter %d: intersect emitted %d not in reference", iter, x)
 			}
 		}
-		union := UnionNodes(a, b, c)
+		union := unionNodes2(a, b)
 		refU := make(map[uint64]bool)
-		for _, l := range []NodeList{a, b, c} {
+		for _, l := range []NodeList{a, b} {
 			for _, x := range l {
 				refU[x] = true
 			}

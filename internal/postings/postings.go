@@ -183,27 +183,6 @@ func Intersect(a, b List) List {
 	return out
 }
 
-// Difference returns the ids of a that are not in b.
-func Difference(a, b List) List {
-	if len(a) == 0 {
-		return List{}
-	}
-	if len(b) == 0 {
-		return a
-	}
-	out := make(List, 0, len(a))
-	j := 0
-	//xqvet:unbounded-ok bounded in-memory set kernel; callers guard per probe, not per element
-	for _, x := range a {
-		j = gallop(b, j, x)
-		if j < len(b) && b[j] == x {
-			continue
-		}
-		out = append(out, x)
-	}
-	return out
-}
-
 // cursor is one input list's head inside the union merge heap.
 type cursor struct {
 	val uint32

@@ -9,6 +9,7 @@ import (
 	"github.com/xqdb/xqdb/internal/xdm"
 	"github.com/xqdb/xqdb/internal/xmlindex"
 	"github.com/xqdb/xqdb/internal/xmlparse"
+	"github.com/xqdb/xqdb/internal/xmlschema"
 )
 
 // bulkRows parses n order documents and stages them as rows with
@@ -137,6 +138,25 @@ func TestBulkAppendMidLoadIndex(t *testing.T) {
 	}
 	if got := late.Index.Stats().Entries; got != 4 {
 		t.Fatalf("late index entries = %d after rollback, want 4", got)
+	}
+
+	// A per-row insert rejected mid-document (a list-typed node after an
+	// indexable match) leaves neither entries nor a version bump.
+	rows3, runs3 := bulkRows(t, tab, 2)
+	mixed, err := xmlparse.Parse(`<order><custid>9</custid><w><custid>1 2</custid></w></order>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := xmlschema.New("v").DeclareList("/order/w/custid", xdm.Double).Validate(mixed); err != nil {
+		t.Fatal(err)
+	}
+	rows3[0].Cells[1].Doc = mixed
+	v := late.Index.Version()
+	if err := tab.BulkAppend(rows3, runs3, nil, nil); err == nil {
+		t.Fatal("list-typed row accepted")
+	}
+	if got := late.Index.Stats().Entries; got != 4 || late.Index.Version() != v {
+		t.Fatalf("rejected row: late index entries = %d (want 4), version %d -> %d", got, v, late.Index.Version())
 	}
 }
 

@@ -101,19 +101,52 @@ func TestXMLIndexMaintenance(t *testing.T) {
 
 func TestListTypeRejectsInsert(t *testing.T) {
 	_, tab := ordersTable(t)
-	if _, err := tab.CreateXMLIndex("sc", "orddoc", "//scores", xmlindex.Double); err != nil {
+	xi, err := tab.CreateXMLIndex("sc", "orddoc", "//scores", xmlindex.Double)
+	if err != nil {
 		t.Fatal(err)
 	}
 	doc, _ := xmlparse.Parse(`<order><scores>1 2</scores></order>`)
 	if err := xmlschema.New("v").DeclareList("scores", xdm.Double).Validate(doc); err != nil {
 		t.Fatal(err)
 	}
-	_, err := tab.Insert([]Cell{{V: xdm.NewInteger(1)}, {Doc: doc}})
+	_, err = tab.Insert([]Cell{{V: xdm.NewInteger(1)}, {Doc: doc}})
 	if err == nil || !strings.Contains(err.Error(), "list type") {
 		t.Fatalf("err = %v", err)
 	}
 	if tab.Len() != 0 {
 		t.Error("rejected insert must not leave a row")
+	}
+
+	// The list-typed node follows an indexable match: the rejection must
+	// not leave that earlier entry behind.
+	mixed, _ := xmlparse.Parse(`<order><scores>7</scores><w><scores>1 2 3</scores></w></order>`)
+	if err := xmlschema.New("v").DeclareList("/order/w/scores", xdm.Double).Validate(mixed); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tab.Insert([]Cell{{V: xdm.NewInteger(2)}, {Doc: mixed}}); err == nil {
+		t.Fatal("list-typed node after an indexable match was accepted")
+	}
+	if got := xi.Index.Stats().Entries; got != 0 {
+		t.Fatalf("rejected inserts left %d index entries", got)
+	}
+
+	// A rejected insert does not consume its row id, so the next row
+	// reuses it: the index must answer exactly what a scan of the rows does.
+	insertOrder(t, tab, 3, `<order><scores>1</scores></order>`)
+	nodes, _, _, err := xi.Index.NodeList(xmlindex.Probe{Range: xmlindex.Equality(xdm.NewDouble(7))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scanned := 0
+	for _, row := range tab.Rows() {
+		row.Cells[1].Doc.DescendAll(func(n *xdm.Node) {
+			if n.Name.Local == "scores" && n.StringValue() == "7" {
+				scanned++
+			}
+		})
+	}
+	if len(nodes) != scanned {
+		t.Fatalf("index answers %d nodes with value 7, a scan finds %d", len(nodes), scanned)
 	}
 }
 

@@ -7,13 +7,15 @@
 // pattern can match anything at all, how many nodes it reaches, and how
 // many documents those nodes spread over.
 //
-// Batch mirrors xmlindex.Extractor: workers accumulate per-document path
-// counts lock-free and merge into the shared synopsis under one lock
-// take, so ingestion pays one extra map update per distinct path per
-// worker, not per node.
+// Workers accumulate per-document path counts lock-free in a Batch and
+// merge it into the shared synopsis under one lock take, so ingestion
+// pays one extra map update per distinct path per worker, not per node.
+// Paths come from pattern.Walker, the walk the XML indexes extract with,
+// so the synopsis and every index key paths the same way.
 package synopsis
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -228,8 +230,7 @@ func renderPath(labels []pattern.Label) string {
 	return b.String()
 }
 
-// Batch accumulates path counts for a set of documents without touching
-// any shared state. Not safe for concurrent use — one batch per worker.
+// bentry is one path's counts inside a Batch.
 type bentry struct {
 	labels []pattern.Label
 	count  int64
@@ -239,11 +240,11 @@ type bentry struct {
 	seenDoc int64
 }
 
-// Batch is the per-worker accumulation buffer; see the package comment.
+// Batch accumulates path counts for a set of documents without touching
+// any shared state. Not safe for concurrent use — one batch per worker.
 type Batch struct {
 	byKey  map[string]*bentry
-	labels []pattern.Label
-	keyBuf []byte
+	walker pattern.Walker
 	docSeq int64
 }
 
@@ -255,75 +256,21 @@ func NewBatch() *Batch {
 // Len returns the number of distinct paths accumulated.
 func (b *Batch) Len() int { return len(b.byKey) }
 
-// AddDoc records every rooted label path of the document: elements,
-// attributes, text, comment, and processing-instruction nodes, with the
-// document node transparent — exactly the node population the XMLPATTERN
-// walk (xmlindex.forMatching) sees, so synopsis verdicts and index
-// contents can never disagree about what exists.
+// AddDoc records the rooted label path of every node pattern.Walker
+// visits: elements, attributes, text, comment, and processing-instruction
+// nodes, with the document node transparent.
 func (b *Batch) AddDoc(doc *xdm.Node) {
 	b.docSeq++
-	push := func(l pattern.Label) int {
-		mark := len(b.keyBuf)
-		b.keyBuf = append(b.keyBuf, byte(l.Kind))
-		b.keyBuf = append(b.keyBuf, l.Space...)
-		b.keyBuf = append(b.keyBuf, 0)
-		b.keyBuf = append(b.keyBuf, l.Local...)
-		b.keyBuf = append(b.keyBuf, 1)
-		b.labels = append(b.labels, l)
-		return mark
-	}
-	pop := func(mark int) {
-		b.keyBuf = b.keyBuf[:mark]
-		b.labels = b.labels[:len(b.labels)-1]
-	}
-	record := func() {
-		e := b.byKey[string(b.keyBuf)]
+	b.walker.Walk(doc, func(_ *xdm.Node, labels []pattern.Label, key []byte) {
+		e := b.byKey[string(key)]
 		if e == nil {
-			e = &bentry{labels: append([]pattern.Label(nil), b.labels...)}
-			b.byKey[string(b.keyBuf)] = e
+			e = &bentry{labels: slices.Clone(labels)}
+			b.byKey[string(key)] = e
 		}
 		e.count++
 		if e.seenDoc != b.docSeq {
 			e.seenDoc = b.docSeq
 			e.docs++
 		}
-	}
-	var walk func(*xdm.Node)
-	walk = func(n *xdm.Node) {
-		mark := -1
-		if n.Kind != xdm.DocumentNode {
-			mark = push(nodeLabel(n))
-			record()
-		}
-		for _, a := range n.Attrs {
-			am := push(pattern.Label{Kind: pattern.AttributeLabel, Space: a.Name.Space, Local: a.Name.Local})
-			record()
-			pop(am)
-		}
-		for _, c := range n.Children {
-			walk(c)
-		}
-		if mark >= 0 {
-			pop(mark)
-		}
-	}
-	walk(doc)
-}
-
-// nodeLabel converts one node to its pattern label (the xmlindex walk's
-// labeling, duplicated here to keep the packages independent).
-func nodeLabel(n *xdm.Node) pattern.Label {
-	switch n.Kind {
-	case xdm.ElementNode:
-		return pattern.Label{Kind: pattern.ElementLabel, Space: n.Name.Space, Local: n.Name.Local}
-	case xdm.AttributeNode:
-		return pattern.Label{Kind: pattern.AttributeLabel, Space: n.Name.Space, Local: n.Name.Local}
-	case xdm.TextNode:
-		return pattern.Label{Kind: pattern.TextLabel}
-	case xdm.CommentNode:
-		return pattern.Label{Kind: pattern.CommentLabel}
-	case xdm.ProcessingInstructionNode:
-		return pattern.Label{Kind: pattern.PILabel, Local: n.Name.Local}
-	}
-	return pattern.Label{}
+	})
 }

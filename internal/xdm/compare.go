@@ -258,15 +258,3 @@ func SQLCompare(op CompareOp, a, b Value) (bool, error) {
 	bs := strings.TrimRight(b.Lexical(), " ")
 	return applyOrder(op, strings.Compare(as, bs)), nil
 }
-
-// OrderKey produces a sortable key for a value within its type family.
-// Used by order-by and by B+Tree key encoding.
-func OrderKey(v Value) (float64, string, bool) {
-	if v.T.IsNumeric() {
-		return v.Number(), "", true
-	}
-	if v.T == Date || v.T == DateTime {
-		return float64(v.M.Unix()), "", true
-	}
-	return 0, v.Lexical(), false
-}

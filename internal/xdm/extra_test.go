@@ -6,22 +6,6 @@ import (
 	"time"
 )
 
-func TestOrderKey(t *testing.T) {
-	if f, _, num := OrderKey(NewDouble(5)); !num || f != 5 {
-		t.Errorf("numeric order key = %v %v", f, num)
-	}
-	if f, _, num := OrderKey(NewInteger(7)); !num || f != 7 {
-		t.Errorf("integer order key = %v", f)
-	}
-	d, _ := NewString("2001-01-01").Cast(Date)
-	if _, _, num := OrderKey(d); !num {
-		t.Error("date should be a numeric order key")
-	}
-	if _, s, num := OrderKey(NewString("abc")); num || s != "abc" {
-		t.Errorf("string order key = %q %v", s, num)
-	}
-}
-
 func TestNumberEdgeCases(t *testing.T) {
 	if n := NewBoolean(true).Number(); n != 1 {
 		t.Errorf("true = %v", n)

@@ -244,11 +244,6 @@ func (n *Node) Before(m *Node) bool {
 	return n.Ordinal < m.Ordinal
 }
 
-// DocumentRoot reports whether n's tree is rooted at a document node. The
-// leading "/" of an absolute path requires this (§3.5): fn:root(.) treat
-// as document-node().
-func (n *Node) DocumentRoot() bool { return n.Root().Kind == DocumentNode }
-
 // Descend visits n and all its descendants in document order, calling f
 // for each (attributes are not visited; use DescendAll for those).
 func (n *Node) Descend(f func(*Node)) {

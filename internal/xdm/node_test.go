@@ -147,18 +147,6 @@ func TestPathFromRootNamespaced(t *testing.T) {
 	}
 }
 
-func TestDocumentRoot(t *testing.T) {
-	doc := buildOrder()
-	if !doc.Children[0].DocumentRoot() {
-		t.Error("parsed element should report a document root")
-	}
-	free := &Node{Kind: ElementNode, Name: QName{Local: "x"}}
-	free.Renumber()
-	if free.DocumentRoot() {
-		t.Error("constructed element is not under a document node (§3.5)")
-	}
-}
-
 func TestSortDocumentOrderDedup(t *testing.T) {
 	doc := buildOrder()
 	var all []*Node

@@ -1,0 +1,84 @@
+package xmlindex
+
+import (
+	"bytes"
+	"slices"
+	"testing"
+
+	"github.com/xqdb/xqdb/internal/pattern"
+	"github.com/xqdb/xqdb/internal/synopsis"
+	"github.com/xqdb/xqdb/internal/xmlparse"
+)
+
+// agreePatterns cover every label kind pattern.Walker emits, a namespaced
+// path and a descendant path.
+var agreePatterns = []string{
+	"//*",
+	"//@*",
+	"//text()",
+	"//node()",
+	"//comment()",
+	"//processing-instruction()",
+	`declare namespace o="urn:o"; /order/o:lineitem/@o:qty`,
+	"//a//a",
+}
+
+// FuzzIndexSynopsisAgree holds index maintenance, bulk extraction and the
+// path synopsis to one node population and one path keying: on an
+// untyped document, a varchar index stores exactly the nodes
+// synopsis.Match counts; an Extractor produces exactly the keys InsertDoc
+// stores; and InsertDoc+DeleteDoc, like AddDoc+RemoveDoc, leave nothing
+// behind.
+func FuzzIndexSynopsisAgree(f *testing.F) {
+	for _, seed := range []string{
+		`<order xmlns:o="urn:o"><o:lineitem price="5" o:qty="2">text<!--c--><?pi x?></o:lineitem><lineitem/></order>`,
+		`<a><b><a k="1">1</a></b>tail<?t?><a><a/></a></a>`,
+		`<r xmlns="urn:d"><x y="1"/><!--only--></r>`,
+		`<?top?><e/><!--after-->`,
+	} {
+		f.Add(seed)
+	}
+	pats := make([]*pattern.Pattern, len(agreePatterns))
+	for i, src := range agreePatterns {
+		pats[i] = pattern.MustParse(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		doc, err := xmlparse.Parse(src)
+		if err != nil {
+			return
+		}
+		syn := synopsis.New()
+		syn.AddDoc(doc)
+		for i, p := range pats {
+			ix := New("agree", p, Varchar)
+			if err := ix.InsertDoc(1, doc); err != nil {
+				t.Fatalf("%s: InsertDoc: %v", agreePatterns[i], err)
+			}
+			if nodes, _ := syn.Match(p); int64(ix.Stats().Entries) != nodes {
+				t.Fatalf("%s: index holds %d entries, synopsis counts %d nodes", agreePatterns[i], ix.Stats().Entries, nodes)
+			}
+			var stored [][]byte
+			if _, err := ix.tree.ScanCheck(nil, nil, nil, func(k, _ []byte) bool {
+				stored = append(stored, k)
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			e := ix.NewExtractor()
+			if err := e.AddDoc(1, doc); err != nil {
+				t.Fatalf("%s: AddDoc: %v", agreePatterns[i], err)
+			}
+			if run := e.Run(); !slices.EqualFunc(run, stored, bytes.Equal) {
+				t.Fatalf("%s: extractor keys %q, InsertDoc stored %q", agreePatterns[i], run, stored)
+			}
+			ix.DeleteDoc(1, doc)
+			if n := ix.Stats().Entries; n != 0 {
+				t.Fatalf("%s: %d entries left after DeleteDoc", agreePatterns[i], n)
+			}
+		}
+		syn.RemoveDoc(doc)
+		if n := syn.Len(); n != 0 {
+			t.Fatalf("%d synopsis paths left after RemoveDoc", n)
+		}
+	})
+}

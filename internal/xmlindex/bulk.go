@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"github.com/xqdb/xqdb/internal/btree"
-	"github.com/xqdb/xqdb/internal/pattern"
 	"github.com/xqdb/xqdb/internal/xdm"
 )
 
@@ -20,98 +19,28 @@ import (
 // ascending run for PrepareBulk.
 type Extractor struct {
 	ix    *Index
-	paths *pathDict // extractor-local interning; remapped in Run
+	paths *pathDict // extractor-local verdicts and interning; remapped in Run
 	keys  [][]byte
-	// verdicts memoizes Pattern.Match per distinct label path. A corpus
-	// shares a handful of element paths, so across a batch the dynamic-
-	// programming matcher runs once per path rather than once per node —
-	// the dominant cost of per-document extraction. InsertDoc cannot
-	// amortize such a table over a single document, which is why the memo
-	// lives here and not in forMatching.
-	verdicts map[string]bool
-	// labels and keyBuf are the walk's path stack: labels feeds the
-	// matcher and interning, keyBuf mirrors it in pathKey encoding so the
-	// memo lookup needs no per-node key allocation.
-	labels []pattern.Label
-	keyBuf []byte
 }
 
 // NewExtractor returns an empty extractor for this index.
 func (ix *Index) NewExtractor() *Extractor {
-	return &Extractor{ix: ix, paths: newPathDict(), verdicts: map[string]bool{}}
+	return &Extractor{ix: ix, paths: newPathDict(ix.Pattern)}
 }
 
 // AddDoc extracts the entries InsertDoc would create for doc, holding no
 // locks. It returns an error only for list-typed matches (the same
-// contract as InsertDoc); cast failures skip silently. Documents must
-// carry distinct docIDs across every extractor feeding one PrepareBulk,
-// or the merge will reject the duplicate keys.
+// contract as InsertDoc, and likewise a rejected document adds nothing);
+// cast failures skip silently. Documents must carry distinct docIDs
+// across every extractor feeding one PrepareBulk, or the merge will
+// reject the duplicate keys.
 func (e *Extractor) AddDoc(docID uint32, doc *xdm.Node) error {
-	var addErr error
-	push := func(l pattern.Label) int {
-		mark := len(e.keyBuf)
-		e.keyBuf = append(e.keyBuf, byte(l.Kind))
-		e.keyBuf = append(e.keyBuf, l.Space...)
-		e.keyBuf = append(e.keyBuf, 0)
-		e.keyBuf = append(e.keyBuf, l.Local...)
-		e.keyBuf = append(e.keyBuf, 1)
-		e.labels = append(e.labels, l)
-		return mark
+	keys, err := e.ix.extract(e.paths, docID, doc, e.keys)
+	if err != nil {
+		return err
 	}
-	pop := func(mark int) {
-		e.keyBuf = e.keyBuf[:mark]
-		e.labels = e.labels[:len(e.labels)-1]
-	}
-	matches := func() bool {
-		if v, ok := e.verdicts[string(e.keyBuf)]; ok {
-			return v
-		}
-		v := e.ix.Pattern.Match(e.labels)
-		e.verdicts[string(e.keyBuf)] = v
-		return v
-	}
-	emit := func(n *xdm.Node) {
-		if addErr != nil {
-			return
-		}
-		v, ok, err := e.ix.indexableValue(n)
-		if err != nil {
-			addErr = err
-			return
-		}
-		if !ok {
-			return
-		}
-		pathID := e.paths.intern(e.labels)
-		e.keys = append(e.keys, e.ix.encodeKey(v, pathID, docID, n.Ordinal))
-	}
-	// The walk mirrors forMatching exactly: the node itself, then its
-	// attributes, then its children, document node transparent.
-	var walk func(*xdm.Node)
-	walk = func(n *xdm.Node) {
-		mark := -1
-		if n.Kind != xdm.DocumentNode {
-			mark = push(nodeLabel(n))
-			if matches() {
-				emit(n)
-			}
-		}
-		for _, a := range n.Attrs {
-			am := push(pattern.Label{Kind: pattern.AttributeLabel, Space: a.Name.Space, Local: a.Name.Local})
-			if matches() {
-				emit(a)
-			}
-			pop(am)
-		}
-		for _, c := range n.Children {
-			walk(c)
-		}
-		if mark >= 0 {
-			pop(mark)
-		}
-	}
-	walk(doc)
-	return addErr
+	e.keys = keys
+	return nil
 }
 
 // Len returns the number of entries extracted so far.
@@ -127,7 +56,7 @@ func (e *Extractor) Run() [][]byte {
 	remap := make([]uint32, len(e.paths.paths))
 	e.ix.mu.Lock()
 	for local, labels := range e.paths.paths {
-		remap[local] = e.ix.paths.intern(labels)
+		remap[local], _ = e.ix.paths.lookup(labels, []byte(e.paths.keys[local]))
 	}
 	e.ix.mu.Unlock()
 	for _, k := range e.keys {
@@ -195,8 +124,5 @@ func (ix *Index) CommitBulk(bb *BulkBuild) {
 	defer ix.mu.Unlock()
 	bb.tree.Instrument(ix.mTreeScans, ix.mTreeKeys)
 	ix.tree = bb.tree
-	if bb.delta != 0 {
-		ix.version.Add(1)
-		ix.mEntries.Add(int64(bb.delta))
-	}
+	ix.entriesChanged(bb.delta)
 }

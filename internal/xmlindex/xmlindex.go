@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -62,19 +63,15 @@ func (t Type) xdmType() xdm.Type {
 	}
 }
 
-// Stats counts cumulative index activity since creation (or the last
-// ResetStats). Per-query accounting uses the counts NodeList/DocList
-// return instead — these totals are a monitoring aid only.
+// Stats is a snapshot of an index's size. Probe activity is counted by
+// the registry instruments and by the counts NodeList/DocList return.
 type Stats struct {
-	Probes      int // number of probes
-	KeysVisited int // B+Tree entries touched across all probes
-	Entries     int // live entries
+	Entries int // live entries
 }
 
 // Index is one XML value index. Probes (NodeList, DocList) take the read
 // lock, so concurrent readers proceed in parallel; document insertion
-// and deletion take the write lock. The probe counters are atomics so
-// read locks never mutate shared state.
+// and deletion take the write lock.
 type Index struct {
 	Name    string
 	Pattern *pattern.Pattern
@@ -94,9 +91,6 @@ type Index struct {
 	// every cached probe of this index at its next lookup.
 	version atomic.Uint64
 	cache   *probeCache
-
-	probes      atomic.Int64
-	keysVisited atomic.Int64
 
 	// Registry instruments, shared across the indexes of one engine;
 	// nil (uninstrumented) when the index lives outside an engine.
@@ -146,7 +140,7 @@ func (ix *Index) ProbeCacheCapacity() int {
 // New creates an empty index over the given pattern and type.
 func New(name string, pat *pattern.Pattern, typ Type) *Index {
 	return &Index{Name: name, Pattern: pat, Type: typ, faultSite: "xmlindex.scan:" + name,
-		tree: btree.New(), paths: newPathDict(), cache: newProbeCache()}
+		tree: btree.New(), paths: newPathDict(pat), cache: newProbeCache()}
 }
 
 // Version returns the entry-set version counter. It moves only when an
@@ -157,94 +151,44 @@ func (ix *Index) Version() uint64 { return ix.version.Load() }
 func (ix *Index) Stats() Stats {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return Stats{
-		Probes:      int(ix.probes.Load()),
-		KeysVisited: int(ix.keysVisited.Load()),
-		Entries:     ix.tree.Len(),
-	}
+	return Stats{Entries: ix.tree.Len()}
 }
 
-// ResetStats zeroes the probe counters.
-func (ix *Index) ResetStats() {
-	ix.probes.Store(0)
-	ix.keysVisited.Store(0)
-}
-
-// pathDict interns concrete label paths.
+// pathDict interns the concrete label paths index entries carry and
+// memoises the index pattern's verdict per distinct path, so the matcher
+// runs once per path rather than once per node. It owns the walker whose
+// buffers every extraction through it reuses; the index's own dictionary
+// is guarded by the index lock, an extractor's is private to it.
 type pathDict struct {
-	byKey map[string]uint32
-	paths [][]pattern.Label
+	pat *pattern.Pattern
+	// ids maps a path key to its path id, or to -1 when the pattern
+	// rejects the path.
+	ids    map[string]int32
+	paths  [][]pattern.Label // by path id
+	keys   []string          // by path id
+	walker pattern.Walker
 }
 
-func newPathDict() *pathDict {
-	return &pathDict{byKey: map[string]uint32{}}
+func newPathDict(pat *pattern.Pattern) *pathDict {
+	return &pathDict{pat: pat, ids: map[string]int32{}}
 }
 
-func pathKey(labels []pattern.Label) string {
-	b := make([]byte, 0, 64)
-	for _, l := range labels {
-		b = append(b, byte(l.Kind))
-		b = append(b, l.Space...)
-		b = append(b, 0)
-		b = append(b, l.Local...)
-		b = append(b, 1)
+// lookup returns the id of the path with the given labels and key and
+// whether the pattern matches it, interning a matching path on first
+// sight.
+func (d *pathDict) lookup(labels []pattern.Label, key []byte) (uint32, bool) {
+	if id, ok := d.ids[string(key)]; ok {
+		return uint32(id), id >= 0
 	}
-	return string(b)
-}
-
-func (d *pathDict) intern(labels []pattern.Label) uint32 {
-	k := pathKey(labels)
-	if id, ok := d.byKey[k]; ok {
-		return id
+	id := int32(-1)
+	k := string(key)
+	if d.pat.Match(labels) {
+		id = int32(len(d.paths))
+		d.paths = append(d.paths, slices.Clone(labels))
+		d.keys = append(d.keys, k)
 	}
-	id := uint32(len(d.paths))
-	d.byKey[k] = id
-	d.paths = append(d.paths, append([]pattern.Label(nil), labels...))
-	return id
-}
-
-// nodeLabel converts one node to its pattern label.
-func nodeLabel(n *xdm.Node) pattern.Label {
-	switch n.Kind {
-	case xdm.ElementNode:
-		return pattern.Label{Kind: pattern.ElementLabel, Space: n.Name.Space, Local: n.Name.Local}
-	case xdm.AttributeNode:
-		return pattern.Label{Kind: pattern.AttributeLabel, Space: n.Name.Space, Local: n.Name.Local}
-	case xdm.TextNode:
-		return pattern.Label{Kind: pattern.TextLabel}
-	case xdm.CommentNode:
-		return pattern.Label{Kind: pattern.CommentLabel}
-	case xdm.ProcessingInstructionNode:
-		return pattern.Label{Kind: pattern.PILabel, Local: n.Name.Local}
-	}
-	return pattern.Label{}
-}
-
-// labelPath converts a node's ancestor chain to a pattern label path
-// (document node excluded).
-func labelPath(n *xdm.Node) []pattern.Label {
-	var rev []pattern.Label
-	for m := n; m != nil && m.Kind != xdm.DocumentNode; m = m.Parent {
-		var l pattern.Label
-		switch m.Kind {
-		case xdm.ElementNode:
-			l = pattern.Label{Kind: pattern.ElementLabel, Space: m.Name.Space, Local: m.Name.Local}
-		case xdm.AttributeNode:
-			l = pattern.Label{Kind: pattern.AttributeLabel, Space: m.Name.Space, Local: m.Name.Local}
-		case xdm.TextNode:
-			l = pattern.Label{Kind: pattern.TextLabel}
-		case xdm.CommentNode:
-			l = pattern.Label{Kind: pattern.CommentLabel}
-		case xdm.ProcessingInstructionNode:
-			l = pattern.Label{Kind: pattern.PILabel, Local: m.Name.Local}
-		}
-		rev = append(rev, l)
-	}
-	out := make([]pattern.Label, len(rev))
-	for i, l := range rev {
-		out[len(rev)-1-i] = l
-	}
-	return out
+	d.ids[k] = id
+	return uint32(id), id >= 0
 }
 
 // indexableValue computes the value an entry stores for node n, taking the
@@ -266,87 +210,69 @@ func (ix *Index) indexableValue(n *xdm.Node) (xdm.Value, bool, error) {
 	return v, true, nil
 }
 
-// InsertDoc adds index entries for every matching node of doc. It returns
-// an error only for list-typed matches; cast failures skip silently.
-func (ix *Index) InsertDoc(docID uint32, doc *xdm.Node) error {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	before := ix.tree.Len()
-	defer func() {
-		if delta := ix.tree.Len() - before; delta != 0 {
-			// A document with no matching nodes leaves cached probe
-			// results valid; only an actual entry change invalidates.
-			ix.version.Add(1)
-			ix.mEntries.Add(int64(delta))
-		}
-	}()
-	var insertErr error
-	ix.forMatching(doc, func(n *xdm.Node, labels []pattern.Label) {
-		if insertErr != nil {
-			return
-		}
-		v, ok, err := ix.indexableValue(n)
-		if err != nil {
-			insertErr = err
-			return
-		}
+// extract appends to keys the entries of doc: one key per node whose
+// label path d's pattern matches and whose value casts to the index
+// type. Cast failures skip silently; a list-typed match is skipped and
+// reported as the error (§3.10 footnote), after the walk completes.
+func (ix *Index) extract(d *pathDict, docID uint32, doc *xdm.Node, keys [][]byte) ([][]byte, error) {
+	var listErr error
+	d.walker.Walk(doc, func(n *xdm.Node, labels []pattern.Label, key []byte) {
+		pathID, ok := d.lookup(labels, key)
 		if !ok {
 			return
 		}
-		pathID := ix.paths.intern(labels)
-		ix.tree.Insert(ix.encodeKey(v, pathID, docID, n.Ordinal), nil)
+		v, ok, err := ix.indexableValue(n)
+		if err != nil && listErr == nil {
+			listErr = err
+		}
+		if ok {
+			keys = append(keys, ix.encodeKey(v, pathID, docID, n.Ordinal))
+		}
 	})
-	return insertErr
+	return keys, listErr
 }
 
-// DeleteDoc removes the entries InsertDoc created for doc.
+// entriesChanged records an entry-set change of delta entries. Only an
+// actual change bumps the version, so a document with no matching nodes
+// leaves cached probe results valid.
+func (ix *Index) entriesChanged(delta int) {
+	if delta != 0 {
+		ix.version.Add(1)
+		ix.mEntries.Add(int64(delta))
+	}
+}
+
+// InsertDoc adds index entries for every matching node of doc. It
+// extracts every entry before it touches the tree, so a rejected
+// document changes nothing: no entry, no version bump. It returns an
+// error only for list-typed matches; cast failures skip silently.
+func (ix *Index) InsertDoc(docID uint32, doc *xdm.Node) error {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	keys, err := ix.extract(ix.paths, docID, doc, nil)
+	if err != nil {
+		return err
+	}
+	before := ix.tree.Len()
+	for _, k := range keys {
+		ix.tree.Insert(k, nil)
+	}
+	ix.entriesChanged(ix.tree.Len() - before)
+	return nil
+}
+
+// DeleteDoc removes the entries InsertDoc created for doc. A list-typed
+// match cannot have been inserted, since InsertDoc rejects the whole
+// document, so extract's error is moot here.
 func (ix *Index) DeleteDoc(docID uint32, doc *xdm.Node) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
+	keys, _ := ix.extract(ix.paths, docID, doc, nil)
 	before := ix.tree.Len()
-	defer func() {
-		if delta := ix.tree.Len() - before; delta != 0 {
-			ix.version.Add(1)
-			ix.mEntries.Add(int64(delta))
-		}
-	}()
-	ix.forMatching(doc, func(n *xdm.Node, labels []pattern.Label) {
-		v, ok, err := ix.indexableValue(n)
-		if err != nil || !ok {
-			return
-		}
-		pathID := ix.paths.intern(labels)
-		ix.tree.Delete(ix.encodeKey(v, pathID, docID, n.Ordinal))
-	})
-}
-
-// forMatching visits every node of doc whose label path matches the index
-// pattern.
-func (ix *Index) forMatching(doc *xdm.Node, f func(*xdm.Node, []pattern.Label)) {
-	var labels []pattern.Label
-	var walk func(*xdm.Node)
-	walk = func(n *xdm.Node) {
-		if n.Kind != xdm.DocumentNode {
-			labels = append(labels, nodeLabel(n))
-			if ix.Pattern.Match(labels) {
-				f(n, labels)
-			}
-		}
-		for _, a := range n.Attrs {
-			labels = append(labels, pattern.Label{Kind: pattern.AttributeLabel, Space: a.Name.Space, Local: a.Name.Local})
-			if ix.Pattern.Match(labels) {
-				f(a, labels)
-			}
-			labels = labels[:len(labels)-1]
-		}
-		for _, c := range n.Children {
-			walk(c)
-		}
-		if n.Kind != xdm.DocumentNode {
-			labels = labels[:len(labels)-1]
-		}
+	for _, k := range keys {
+		ix.tree.Delete(k)
 	}
-	walk(doc)
+	ix.entriesChanged(ix.tree.Len() - before)
 }
 
 // Range is a value range for a probe. Nil bounds are unbounded; a probe
@@ -433,7 +359,6 @@ func (ix *Index) probe(p Probe) (probeResult, int, bool, error) {
 	}
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	ix.probes.Add(1)
 	ix.mProbes.Inc()
 
 	lo, hi, empty, err := ix.bounds(p.Range)
@@ -456,7 +381,6 @@ func (ix *Index) probe(p Probe) (probeResult, int, bool, error) {
 		c.verdicts = map[uint32]bool{} //xqvet:docset-ok pathID verdict cache, see the field
 	}
 	visited, err := ix.tree.ScanVisit(lo, hi, &c)
-	ix.keysVisited.Add(int64(visited))
 	ix.mKeys.Add(int64(visited))
 	if err != nil {
 		return probeResult{}, visited, false, err

@@ -154,6 +154,31 @@ func TestListTypeRejected(t *testing.T) {
 	}
 }
 
+// TestRejectedInsertChangesNothing: a list-typed match that follows an
+// indexable one rejects the document before any entry is stored.
+func TestRejectedInsertChangesNothing(t *testing.T) {
+	ix := New("scores", pattern.MustParse("//scores"), Double)
+	insert(t, ix, 1, `<r><scores>5</scores></r>`)
+	entries, version := ix.Stats().Entries, ix.Version()
+	doc, err := xmlparse.Parse(`<r><scores>7</scores><w><scores>1 2 3</scores></w></r>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := xmlschema.New("v").DeclareList("/r/w/scores", xdm.Double).Validate(doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.InsertDoc(2, doc); err == nil {
+		t.Fatal("list-typed node after an indexable match was accepted")
+	}
+	if got := ix.Stats().Entries; got != entries || ix.Version() != version {
+		t.Fatalf("rejected insert: entries %d -> %d, version %d -> %d", entries, got, version, ix.Version())
+	}
+	e := ix.NewExtractor()
+	if err := e.AddDoc(2, doc); err == nil || e.Len() != 0 {
+		t.Fatalf("rejected AddDoc: err %v, %d keys extracted", err, e.Len())
+	}
+}
+
 func TestAnnotatedValueIndexed(t *testing.T) {
 	// Validation-derived annotations feed the cast: a node typed double
 	// indexes by its numeric value.
