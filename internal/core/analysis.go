@@ -189,84 +189,114 @@ func (a *Analysis) warnf(tip int, format string, args ...any) {
 	a.Warnings = append(a.Warnings, Warning{Tip: tip, Message: fmt.Sprintf(format, args...)})
 }
 
-// Verdict is the eligibility decision for one (predicate, index) pair.
-type Verdict struct {
-	IndexName string
-	// Pattern and IdxType describe the candidate index ("//a/@b",
-	// "double") so a report can be rendered from the verdict alone.
-	Pattern  string
-	IdxType  string
-	Eligible bool
-	// Reasons lists the failed conditions when ineligible, phrased in
-	// the paper's terms.
-	Reasons []string
+// Failure is the eligibility decision for one (predicate, index) pair:
+// the set of Definition-1 conditions it fails, in the paper's three
+// failure modes. The zero value means eligible.
+type Failure uint8
+
+// Failed conditions, in the order Reasons lists them.
+const (
+	// FailContext: the predicate does not eliminate rows or documents.
+	FailContext Failure = 1 << iota
+	// FailNoPath: the predicate's path could not be derived, so no
+	// other condition was checked.
+	FailNoPath
+	// FailStructure: the index pattern does not contain the query path.
+	FailStructure
+	// FailType: the index type cannot answer the comparison exactly.
+	FailType
+)
+
+// Eligible reports whether no condition failed.
+func (f Failure) Eligible() bool { return f == 0 }
+
+// compIndexType is the index type that answers each comparison type
+// exactly (§3.1); unknown comparisons have none.
+var compIndexType = [...]xmlindex.Type{
+	CompString:    xmlindex.Varchar,
+	CompDouble:    xmlindex.Double,
+	CompDate:      xmlindex.Date,
+	CompTimestamp: xmlindex.Timestamp,
 }
 
-// typeCompatible decides the §3.1 condition: the index type must be able
-// to answer the comparison exactly.
-func typeCompatible(idx xmlindex.Type, comp CompType) (bool, string) {
-	switch comp {
-	case CompUnknown:
-		return false, "comparison type unknown at compile time: add explicit casts (Tip 1)"
-	case CompString:
-		if idx == xmlindex.Varchar {
-			return true, ""
-		}
-		return false, fmt.Sprintf("string comparison cannot use a %s index: non-castable values are missing from it", idx)
-	case CompDouble:
-		if idx == xmlindex.Double {
-			return true, ""
-		}
-		if idx == xmlindex.Varchar {
-			return false, "numeric comparison cannot use a varchar index: it cannot enforce numeric equality rules such as 1E3 = 1000"
-		}
-		return false, fmt.Sprintf("numeric comparison cannot use a %s index", idx)
-	case CompDate:
-		if idx == xmlindex.Date {
-			return true, ""
-		}
-		return false, fmt.Sprintf("date comparison cannot use a %s index", idx)
-	case CompTimestamp:
-		if idx == xmlindex.Timestamp {
-			return true, ""
-		}
-		return false, fmt.Sprintf("timestamp comparison cannot use a %s index", idx)
-	}
-	return false, "unsupported comparison type"
-}
-
-// CheckIndex decides whether one index is eligible to answer one
-// predicate, and diagnoses failures with the relevant tips.
-func CheckIndex(idxName string, idxPattern *pattern.Pattern, idxType xmlindex.Type, p Predicate) Verdict {
-	v := Verdict{IndexName: idxName, Pattern: fmt.Sprint(idxPattern), IdxType: fmt.Sprint(idxType)}
+// Decide decides whether an index with the given pattern and type is
+// eligible to answer one predicate. It is the only place the conditions
+// are evaluated; Reasons words the result for EXPLAIN.
+func Decide(idxPattern *pattern.Pattern, idxType xmlindex.Type, p Predicate) Failure {
+	var f Failure
 	if !p.Filtering {
+		f |= FailContext
+	}
+	if p.Pattern == nil {
+		return f | FailNoPath
+	}
+	if !pattern.Contains(idxPattern, p.Pattern) {
+		f |= FailStructure
+	}
+	if typedPredicate(p) {
+		if p.CompType == CompUnknown || compIndexType[p.CompType] != idxType {
+			f |= FailType
+		}
+	} else if p.Op == 0 && idxType != xmlindex.Varchar {
+		// Structural predicate: only a varchar index holds every node.
+		f |= FailType
+	}
+	return f
+}
+
+// typedPredicate reports whether the predicate's type condition is the
+// comparison's type rather than the structural-predicate rule.
+func typedPredicate(p Predicate) bool {
+	return p.Value != nil || p.CompType != CompUnknown
+}
+
+// Reasons words the failed conditions f, which Decide returned for the
+// same index and predicate, in the paper's terms with the relevant tips.
+func (f Failure) Reasons(idxPattern *pattern.Pattern, idxType xmlindex.Type, p Predicate) []string {
+	var reasons []string
+	if f&FailContext != 0 {
 		reason := p.Reason
 		if reason == "" {
 			reason = "the predicate does not eliminate any rows or documents"
 		}
-		v.Reasons = append(v.Reasons, "context: "+reason)
+		reasons = append(reasons, "context: "+reason)
 	}
-	if p.Pattern == nil {
-		v.Reasons = append(v.Reasons, "structure: the predicate path could not be derived")
-		return v
+	if f&FailNoPath != 0 {
+		return append(reasons, "structure: the predicate path could not be derived")
 	}
-	if !pattern.Contains(idxPattern, p.Pattern) {
-		msg := fmt.Sprintf("structure: index pattern %s does not contain query path %s", idxPattern, p.Pattern)
-		msg += structuralHint(idxPattern, p.Pattern)
-		v.Reasons = append(v.Reasons, msg)
+	if f&FailStructure != 0 {
+		reasons = append(reasons, fmt.Sprintf("structure: index pattern %s does not contain query path %s%s",
+			idxPattern, p.Pattern, structuralHint(idxPattern, p.Pattern)))
 	}
-	if p.Value != nil || p.CompType != CompUnknown {
-		if ok, reason := typeCompatible(idxType, p.CompType); !ok {
-			v.Reasons = append(v.Reasons, "type: "+reason)
-		}
-	} else if p.Op == 0 && p.Value == nil {
-		// Structural predicate: only a varchar index holds every node.
-		if idxType != xmlindex.Varchar {
-			v.Reasons = append(v.Reasons, fmt.Sprintf("type: a structural predicate needs a varchar index (all values are castable to string), not %s", idxType))
+	if f&FailType != 0 {
+		if typedPredicate(p) {
+			reasons = append(reasons, "type: "+typeReason(idxType, p.CompType))
+		} else {
+			reasons = append(reasons, fmt.Sprintf("type: a structural predicate needs a varchar index (all values are castable to string), not %s", idxType))
 		}
 	}
-	v.Eligible = len(v.Reasons) == 0
-	return v
+	return reasons
+}
+
+// typeReason words why an index of type idx cannot answer a comparison
+// of type comp (§3.1).
+func typeReason(idx xmlindex.Type, comp CompType) string {
+	switch comp {
+	case CompUnknown:
+		return "comparison type unknown at compile time: add explicit casts (Tip 1)"
+	case CompString:
+		return fmt.Sprintf("string comparison cannot use a %s index: non-castable values are missing from it", idx)
+	case CompDouble:
+		if idx == xmlindex.Varchar {
+			return "numeric comparison cannot use a varchar index: it cannot enforce numeric equality rules such as 1E3 = 1000"
+		}
+		return fmt.Sprintf("numeric comparison cannot use a %s index", idx)
+	case CompDate:
+		return fmt.Sprintf("date comparison cannot use a %s index", idx)
+	case CompTimestamp:
+		return fmt.Sprintf("timestamp comparison cannot use a %s index", idx)
+	}
+	return "unsupported comparison type"
 }
 
 // structuralHint diagnoses *why* containment failed in terms of the

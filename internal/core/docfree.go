@@ -157,7 +157,7 @@ func (q *DocFreeQuery) setComparison(comp *xquery.Comparison, steps []pattern.St
 }
 
 // Predicate builds the Definition-1 predicate form of a query with a
-// comparison, for CheckIndex eligibility screening against candidate
+// comparison, for Decide eligibility screening against candidate
 // indexes.
 func (q *DocFreeQuery) Predicate() Predicate {
 	v := *q.Value

@@ -15,7 +15,7 @@ func eligibleForPattern(t *testing.T, a *Analysis, pat string, typ xmlindex.Type
 		if !strings.EqualFold(pr.Collection, collection) {
 			continue
 		}
-		if v := CheckIndex("ix", p, typ, pr); v.Eligible {
+		if Decide(p, typ, pr).Eligible() {
 			return true
 		}
 	}

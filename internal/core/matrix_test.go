@@ -60,7 +60,7 @@ func eligibleFor(t *testing.T, a *Analysis, index, collection string) bool {
 		if !strings.EqualFold(p.Collection, collection) {
 			continue
 		}
-		if v := CheckIndex(index, pat, typ, p); v.Eligible {
+		if Decide(pat, typ, p).Eligible() {
 			return true
 		}
 	}
@@ -138,7 +138,7 @@ func TestQuery2WildcardIneligible(t *testing.T) {
 	broad := pattern.MustParse("//@*")
 	found := false
 	for _, p := range a.Predicates {
-		if v := CheckIndex("all_attrs", broad, xmlindex.Double, p); v.Eligible {
+		if Decide(broad, xmlindex.Double, p).Eligible() {
 			found = true
 		}
 	}
@@ -441,8 +441,7 @@ func TestQuery29TextAlignment(t *testing.T) {
 	pat, typ := findIndex(t, "PRICE_TEXT")
 	hinted := false
 	for _, p := range a.Predicates {
-		v := CheckIndex("PRICE_TEXT", pat, typ, p)
-		for _, r := range v.Reasons {
+		for _, r := range Decide(pat, typ, p).Reasons(pat, typ, p) {
 			if strings.Contains(r, "Tip 11") {
 				hinted = true
 			}

@@ -66,7 +66,7 @@ func (e *Engine) planAnswer(q *core.DocFreeQuery) *answerSource {
 	}
 	pred := q.Predicate()
 	for _, xi := range a.table.XMLIndexes(a.column) {
-		if !core.CheckIndex(xi.Name, xi.Index.Pattern, xi.Index.Type, pred).Eligible {
+		if !core.Decide(xi.Index.Pattern, xi.Index.Type, pred).Eligible() {
 			continue
 		}
 		// Containment (checked above) makes the query's matches a

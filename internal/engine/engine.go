@@ -178,8 +178,8 @@ type semiJoinSpec struct {
 
 // planProbes turns the analysis into index probes. For each filtering
 // predicate it picks the first eligible index on the owning table, and
-// records a decision per predicate — every candidate's verdict plus the
-// planner's choice — for EXPLAIN.
+// records a decision per predicate — every candidate's failed conditions
+// plus the planner's choice — for EXPLAIN.
 func (e *Engine) planProbes(a *core.Analysis) ([]probePlan, []predDecision, error) {
 	var plans []probePlan
 	decisions := make([]predDecision, 0, len(a.Predicates))
@@ -226,17 +226,18 @@ func (e *Engine) planProbes(a *core.Analysis) ([]probePlan, []predDecision, erro
 		}
 		// Check every candidate so the decision shows the whole field,
 		// not just the indexes up to the first eligible one.
-		for _, xi := range indexes {
-			d.verdicts = append(d.verdicts, core.CheckIndex(xi.Name, xi.Index.Pattern, xi.Index.Type, p))
+		d.cands = make([]candidate, len(indexes))
+		for ci, xi := range indexes {
+			d.cands[ci] = candidate{xi, core.Decide(xi.Index.Pattern, xi.Index.Type, p)}
 		}
 		switch {
 		case !p.Filtering:
-			// The verdicts already carry the "context:" rejection reason.
+			// The decisions already carry the context failure.
 		case p.Value == nil && p.Op == 0 && hasValueProbe[occ{p.Collection, p.FromIndex, p.Occurrence}]:
 			d.note = "structural probe skipped: a value probe on the same binding occurrence already pre-filters"
 		default:
 			for vi, xi := range indexes {
-				if !d.verdicts[vi].Eligible {
+				if !d.cands[vi].fail.Eligible() {
 					continue
 				}
 				if p.Value == nil && p.JoinColumn != "" && p.Op == xdm.OpEq {

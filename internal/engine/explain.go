@@ -7,19 +7,20 @@ import (
 
 	"github.com/xqdb/xqdb/internal/core"
 	"github.com/xqdb/xqdb/internal/sqlxml"
+	"github.com/xqdb/xqdb/internal/storage"
 	"github.com/xqdb/xqdb/internal/xquery"
 )
 
 // predDecision records the planner's full reasoning for one predicate:
-// every candidate index's eligibility verdict, which index (if any) was
-// chosen for a probe, and planner-level notes for predicates the planner
-// skipped before or after index selection. Decisions are recorded during
-// planning — not re-derived at explain time — so the report shows what
-// the plan actually does.
+// every candidate index with its eligibility decision, which index (if
+// any) was chosen for a probe, and planner-level notes for predicates the
+// planner skipped before or after index selection. Decisions are recorded
+// during planning — not re-derived at explain time — so the report shows
+// what the plan actually does; only their wording waits for EXPLAIN.
 type predDecision struct {
-	pred     core.Predicate
-	verdicts []core.Verdict
-	// chosen indexes into verdicts; -1 = no index chosen.
+	pred  core.Predicate
+	cands []candidate
+	// chosen indexes into cands; -1 = no index chosen.
 	chosen      int
 	chosenLabel string
 	// note carries a planner-level reason independent of any single
@@ -27,6 +28,12 @@ type predDecision struct {
 	note        string
 	collMissing bool
 	noIndexes   bool
+}
+
+// candidate is one index the planner decided for a predicate.
+type candidate struct {
+	xi   *storage.XMLIndex
+	fail core.Failure
 }
 
 // renderPlan renders the full report for a plan: per-predicate index
@@ -108,9 +115,9 @@ func langName(l Lang) string {
 	return "xquery"
 }
 
-// renderDecisions writes the per-predicate blocks. The line formats for
-// eligible/ineligible indexes are stable — they are part of the public
-// Explain output.
+// renderDecisions writes the per-predicate blocks, wording each recorded
+// decision's failed conditions. The line formats for eligible/ineligible
+// indexes are stable — they are part of the public Explain output.
 func renderDecisions(b *strings.Builder, decisions []predDecision) {
 	for _, d := range decisions {
 		fmt.Fprintf(b, "predicate: %s\n", d.pred.Describe())
@@ -122,18 +129,19 @@ func renderDecisions(b *strings.Builder, decisions []predDecision) {
 			b.WriteString("  no XML indexes on this column\n")
 			continue
 		}
-		for vi, v := range d.verdicts {
-			head := fmt.Sprintf("  index %s [%s AS %s]", v.IndexName, v.Pattern, v.IdxType)
+		for ci, c := range d.cands {
+			idx := c.xi.Index
+			head := fmt.Sprintf("  index %s [%s AS %s]", c.xi.Name, idx.Pattern, idx.Type)
 			switch {
-			case v.Eligible && vi == d.chosen:
+			case c.fail.Eligible() && ci == d.chosen:
 				fmt.Fprintf(b, "%s: ELIGIBLE (chosen: %s)\n", head, d.chosenLabel)
-			case v.Eligible && d.chosen >= 0:
-				fmt.Fprintf(b, "%s: ELIGIBLE (not chosen: index %s selected first)\n", head, d.verdicts[d.chosen].IndexName)
-			case v.Eligible:
+			case c.fail.Eligible() && d.chosen >= 0:
+				fmt.Fprintf(b, "%s: ELIGIBLE (not chosen: index %s selected first)\n", head, d.cands[d.chosen].xi.Name)
+			case c.fail.Eligible():
 				fmt.Fprintf(b, "%s: ELIGIBLE (not chosen)\n", head)
 			default:
 				fmt.Fprintf(b, "%s: not eligible\n", head)
-				for _, r := range v.Reasons {
+				for _, r := range c.fail.Reasons(idx.Pattern, idx.Type, d.pred) {
 					fmt.Fprintf(b, "    - %s\n", r)
 				}
 			}

@@ -82,7 +82,7 @@ type plan struct {
 	analysis *core.Analysis
 	probes   []probePlan
 	// decisions records the planner's per-predicate reasoning (candidate
-	// verdicts, chosen index, skip notes) for EXPLAIN.
+	// decisions, chosen index, skip notes) for EXPLAIN.
 	decisions []predDecision
 
 	// answer, when non-nil, marks a query answerable without walking

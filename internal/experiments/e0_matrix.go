@@ -172,7 +172,7 @@ func E0Matrix(Config) (*Table, error) {
 				if !strings.EqualFold(p.Collection, mc.coll) {
 					continue
 				}
-				if v := core.CheckIndex(ix.name, pat, ix.typ, p); v.Eligible {
+				if core.Decide(pat, ix.typ, p).Eligible() {
 					got = true
 				}
 			}

@@ -2,7 +2,7 @@ package pattern
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -235,54 +235,187 @@ func intersectName(a, b string) (string, bool) {
 // and each query test instantiates to a label satisfying exactly the
 // index tests it logically implies.
 func Contains(i, q *Pattern) bool {
+	a := newIAutomaton(i.alternatives)
 	for _, qalt := range q.alternatives {
-		if !altContained(i.alternatives, qalt) {
+		if !a.altContained(qalt) {
 			return false
 		}
 	}
 	return true
 }
 
-// istate is a position in one index alternative.
-type istate struct{ alt, pos int }
+// The index automaton's states are numbered positions: position pos of
+// alternative k is bit base[k]+pos of a state set, where base[k] sums
+// len(alt)+1 over the alternatives before k. The last position of each
+// alternative is its accepting state. A state set is a slice of words,
+// and sets are told apart by word equality.
+type iautomaton struct {
+	alts  [][]nstep
+	words int // words per state set
+	// skip holds the bits whose step may be preceded by a skip (the
+	// state loops on any label); fresh the bits whose step a fresh
+	// element label satisfies; accept the accepting bits; implied the
+	// bits whose step the current query step implies.
+	skip, fresh, accept, implied []uint64
+}
 
-// altContained checks that every path matched by the query alternative is
-// matched by at least one index alternative.
-func altContained(ialts [][]nstep, qalt []nstep) bool {
-	// The adversary walks the query alternative, choosing skip lengths
-	// and concrete labels; we track every set of index states the
-	// adversary can force. Start: position 0 in every index alternative.
-	start := map[istate]bool{}
-	for a := range ialts {
-		start[istate{a, 0}] = true
+func newIAutomaton(alts [][]nstep) *iautomaton {
+	n := 0
+	for _, alt := range alts {
+		n += len(alt) + 1
 	}
-	sets := []map[istate]bool{start}
-
-	for _, qs := range qalt {
-		var next []map[istate]bool
-		for _, s := range sets {
-			if qs.skipBefore {
-				// All state sets reachable by consuming k >= 0 fresh
-				// labels, for every k the adversary may pick.
-				for _, s2 := range skipFixpoint(ialts, s, qs.attr) {
-					next = append(next, consume(ialts, s2, qs))
-				}
-			} else {
-				next = append(next, consume(ialts, s, qs))
-			}
+	w := (n + 63) / 64
+	masks := make([]uint64, 4*w)
+	a := &iautomaton{alts: alts, words: w,
+		skip: masks[:w], fresh: masks[w : 2*w], accept: masks[2*w : 3*w], implied: masks[3*w:]}
+	fresh := nstep{test: NameTest, space: "\x00fresh-ns", local: "\x00fresh"}
+	a.eachStep(func(bit int, is nstep) {
+		if is.skipBefore {
+			setBit(a.skip, bit)
 		}
-		sets = dedupSets(next)
-		if len(sets) == 0 {
+		if implies(fresh, is) {
+			setBit(a.fresh, bit)
+		}
+	})
+	bit := 0
+	for _, alt := range alts {
+		bit += len(alt)
+		setBit(a.accept, bit)
+		bit++
+	}
+	return a
+}
+
+// eachStep calls f with the bit of every non-accepting position and the
+// step that leaves it.
+func (a *iautomaton) eachStep(f func(bit int, is nstep)) {
+	bit := 0
+	for _, alt := range a.alts {
+		for _, is := range alt {
+			f(bit, is)
+			bit++
+		}
+		bit++ // accepting position
+	}
+}
+
+func setBit(s []uint64, bit int) { s[bit/64] |= 1 << (bit % 64) }
+
+// consume writes to dst the states reachable from src over one
+// adversarial label chosen to satisfy as few index tests as possible:
+// the step leaving a state is satisfied iff its bit is set in sat. A
+// state whose step allows a preceding skip stays (the label joins the
+// skip segment); accepted states fall off the pattern.
+func (a *iautomaton) consume(dst, src, sat []uint64) {
+	var carry uint64
+	for i := range dst {
+		live := src[i] &^ a.accept[i]
+		adv := live & sat[i]
+		dst[i] = live&a.skip[i] | adv<<1 | carry
+		carry = adv >> 63
+	}
+}
+
+// grow appends one empty set of w words to a flat list of sets and
+// returns the list and the new set.
+func grow(list []uint64, w int) ([]uint64, []uint64) {
+	list = append(list, make([]uint64, w)...)
+	return list, list[len(list)-w:]
+}
+
+// hasSet reports whether the flat list of sets holds set s.
+func hasSet(list, s []uint64) bool {
+	for i := 0; i < len(list); i += len(s) {
+		if slices.Equal(list[i:i+len(s)], s) {
+			return true
+		}
+	}
+	return false
+}
+
+func isZero(s []uint64) bool {
+	for _, w := range s {
+		if w != 0 {
 			return false
 		}
 	}
+	return true
+}
+
+// altContained checks that every path matched by the query alternative is
+// matched by at least one index alternative.
+func (a *iautomaton) altContained(qalt []nstep) bool {
+	// The adversary walks the query alternative, choosing skip lengths
+	// and concrete labels; we track every set of index states the
+	// adversary can force. Start: position 0 in every index alternative.
+	// sets, next and chain are flat lists of state sets, w words each.
+	w := a.words
+	var setsBuf, nextBuf, chainBuf [16]uint64
+	sets, start := grow(setsBuf[:0], w)
+	next, chain := nextBuf[:0], chainBuf[:0]
+	bit := 0
+	for _, alt := range a.alts {
+		setBit(start, bit)
+		bit += len(alt) + 1
+	}
+	// push consumes set s over the query step into a new set on next,
+	// dropping it again when next already holds it. An empty set means
+	// the adversary has escaped every index alternative.
+	push := func(s []uint64) bool {
+		var out []uint64
+		next, out = grow(next, w)
+		a.consume(out, s, a.implied)
+		if isZero(out) {
+			return false
+		}
+		if hasSet(next[:len(next)-w], out) {
+			next = next[:len(next)-w]
+		}
+		return true
+	}
+	for _, qs := range qalt {
+		clear(a.implied)
+		a.eachStep(func(bit int, is nstep) {
+			if implies(qs, is) {
+				setBit(a.implied, bit)
+			}
+		})
+		next = next[:0]
+		for i := 0; i < len(sets); i += w {
+			s := sets[i : i+w]
+			if !qs.skipBefore {
+				if !push(s) {
+					return false
+				}
+				continue
+			}
+			// Every state set reachable by consuming k >= 0 fresh
+			// labels, for every k the adversary may pick: the chain
+			// from s under fresh labels, up to its first repeat.
+			chain = append(chain[:0], s...)
+			for c := 0; ; c += w {
+				var nxt []uint64
+				chain, nxt = grow(chain, w)
+				a.consume(nxt, chain[c:c+w], a.fresh)
+				if hasSet(chain[:len(chain)-w], nxt) {
+					chain = chain[:len(chain)-w]
+					break
+				}
+			}
+			for c := 0; c < len(chain); c += w {
+				if !push(chain[c : c+w]) {
+					return false
+				}
+			}
+		}
+		sets, next = next, sets
+	}
 	// Every adversarial run must end in an accepting index state.
-	for _, s := range sets {
+	for i := 0; i < len(sets); i += w {
 		accepted := false
-		for st := range s {
-			if st.pos == len(ialts[st.alt]) {
+		for j, word := range sets[i : i+w] {
+			if word&a.accept[j] != 0 {
 				accepted = true
-				break
 			}
 		}
 		if !accepted {
@@ -290,52 +423,6 @@ func altContained(ialts [][]nstep, qalt []nstep) bool {
 		}
 	}
 	return true
-}
-
-// skipFixpoint returns every state set reachable from s by consuming
-// k >= 0 adversarially fresh labels. Fresh labels are elements with a
-// globally fresh namespace and local name (attr false), or fresh
-// attributes when the query's consuming step is an attribute (a skip
-// segment before an attribute step still walks through elements, so attr
-// is false for the skipped labels themselves).
-func skipFixpoint(ialts [][]nstep, s map[istate]bool, _ bool) []map[istate]bool {
-	fresh := nstep{test: NameTest, space: "\x00fresh-ns", local: "\x00fresh"}
-	out := []map[istate]bool{s}
-	seen := map[string]bool{setKey(s): true}
-	cur := s
-	for {
-		nxt := consume(ialts, cur, fresh)
-		k := setKey(nxt)
-		if seen[k] {
-			return out
-		}
-		seen[k] = true
-		out = append(out, nxt)
-		cur = nxt
-	}
-}
-
-// consume advances every index state over one adversarial label chosen to
-// satisfy the query step test qs and as few index tests as possible: an
-// index step test is satisfied iff qs implies it.
-func consume(ialts [][]nstep, s map[istate]bool, qs nstep) map[istate]bool {
-	next := map[istate]bool{}
-	for st := range s {
-		alt := ialts[st.alt]
-		if st.pos >= len(alt) {
-			continue // already accepted; further labels fall off the pattern
-		}
-		// The index automaton may skip labels at positions whose next
-		// consuming step allows a preceding skip (self-loop).
-		is := alt[st.pos]
-		if is.skipBefore {
-			next[st] = true // stay: the label joins the skip segment
-		}
-		if implies(qs, is) {
-			next[istate{st.alt, st.pos + 1}] = true
-		}
-	}
-	return next
 }
 
 // implies reports whether every label satisfying query step q also
@@ -373,35 +460,4 @@ func implies(q, i nstep) bool {
 		return true
 	}
 	return false
-}
-
-func setKey(s map[istate]bool) string {
-	keys := make([]istate, 0, len(s))
-	for st := range s {
-		keys = append(keys, st)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].alt != keys[j].alt {
-			return keys[i].alt < keys[j].alt
-		}
-		return keys[i].pos < keys[j].pos
-	})
-	var b strings.Builder
-	for _, st := range keys {
-		fmt.Fprintf(&b, "%d.%d;", st.alt, st.pos)
-	}
-	return b.String()
-}
-
-func dedupSets(sets []map[istate]bool) []map[istate]bool {
-	seen := map[string]bool{}
-	var out []map[istate]bool
-	for _, s := range sets {
-		k := setKey(s)
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, s)
-		}
-	}
-	return out
 }

@@ -156,29 +156,51 @@ func (p *Pattern) Match(path []Label) bool {
 	return false
 }
 
+// matchStackLabels is the longest path matchAlt matches without a heap
+// allocation.
+const matchStackLabels = 31
+
 // matchAlt matches one normalized alternative against a concrete path by
-// dynamic programming over (step, position).
+// dynamic programming over (step, position): cur[pos] says whether the
+// steps so far can consume exactly path[:pos].
 func matchAlt(steps []nstep, path []Label) bool {
-	// reachable[i] = set of path positions consumable after i steps.
-	cur := map[int]bool{0: true}
+	n := len(path) + 1
+	var buf [2 * (matchStackLabels + 1)]bool
+	var cur, next []bool
+	if n <= matchStackLabels+1 {
+		cur, next = buf[:n], buf[matchStackLabels+1:][:n]
+	} else {
+		heap := make([]bool, 2*n)
+		cur, next = heap[:n], heap[n:]
+	}
+	cur[0] = true
 	for _, s := range steps {
-		next := map[int]bool{}
-		for pos := range cur {
+		clear(next)
+		reached := false
+		for pos := 0; pos < len(path); pos++ {
+			if !cur[pos] {
+				continue
+			}
 			if s.skipBefore {
-				// Skip any number of labels (but stay within path).
+				// Skip any number of labels (but stay within path):
+				// every later position is reachable too.
 				for skip := pos; skip < len(path); skip++ {
 					if s.matchesLabel(path[skip]) {
 						next[skip+1] = true
+						reached = true
 					}
 				}
-			} else if pos < len(path) && s.matchesLabel(path[pos]) {
+				break
+			}
+			if s.matchesLabel(path[pos]) {
 				next[pos+1] = true
+				reached = true
 			}
 		}
-		if len(next) == 0 {
+		if !reached {
 			return false
 		}
-		cur = next
+		cur, next = next, cur
 	}
 	return cur[len(path)]
 }
