@@ -276,6 +276,64 @@ func TestPanicContainment(t *testing.T) {
 	assertFilteredAgrees(t, db)
 }
 
+// TestPanicContainmentInProbe panics inside an index probe. Probes run on
+// the query goroutine, so the query boundary contains the panic; the
+// probe's locks must be released on the way out, or the insert below
+// would block.
+func TestPanicContainmentInProbe(t *testing.T) {
+	defer guard.SetFaultHook(nil)
+	db := loadedDB(t, 5)
+	guard.SetFaultHook(func(site string) error {
+		if strings.HasPrefix(site, "xmlindex.scan:") {
+			panic("injected probe panic")
+		}
+		return nil
+	})
+	_, _, err := db.QueryXQuery(`db2-fn:xmlcolumn("ORDERS.ORDDOC")//lineitem[@price > 100]`)
+	var qe *QueryError
+	if !errors.As(err, &qe) || qe.Kind != ErrInternal || !strings.Contains(qe.Error(), "injected probe panic") {
+		t.Fatalf("want an internal QueryError naming the panic, got %v", err)
+	}
+	guard.SetFaultHook(nil)
+	db.MustExecSQL(`insert into orders values (999, '<order><lineitem price="150"/></order>')`)
+	assertFilteredAgrees(t, db)
+}
+
+// TestPanicContainmentInRowShards panics inside a SQL row shard, off the
+// query goroutine, where the query boundary's recover cannot reach: the
+// panic must still surface as QueryError{Kind: Internal}, and the DB must
+// keep answering.
+func TestPanicContainmentInRowShards(t *testing.T) {
+	defer guard.SetFaultHook(nil)
+	db := loadedDB(t, 64)
+	db.MustExecSQL(`create table customer (cid integer, cdoc xml)`)
+	db.MustExecSQL(`insert into customer values (1, '<customer><id>P3</id></customer>')`)
+	const q = `select ordid from orders where xmlexists('db2-fn:xmlcolumn("CUSTOMER.CDOC")/customer[id = $d//product/id]' passing orddoc as "d")`
+	opts := QueryOptions{Parallelism: 4}
+	res, stats, err := db.ExecSQLOpts(q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Len() != 64 || stats.ParallelShards != 4 {
+		t.Fatalf("unfaulted run: %d rows over %d shards; want 64 rows over 4", res.Len(), stats.ParallelShards)
+	}
+	guard.SetFaultHook(func(site string) error {
+		if site == "storage.collection:customer.cdoc" {
+			panic("injected row-shard panic")
+		}
+		return nil
+	})
+	_, _, err = db.ExecSQLOpts(q, opts)
+	var qe *QueryError
+	if !errors.As(err, &qe) || qe.Kind != ErrInternal || !strings.Contains(qe.Error(), "panic") {
+		t.Fatalf("want an internal QueryError naming the panic, got %v", err)
+	}
+	guard.SetFaultHook(nil)
+	if res, _, err := db.ExecSQLOpts(q, opts); err != nil || res.Len() != 64 {
+		t.Fatalf("query after contained panic: %v", err)
+	}
+}
+
 func TestZeroOptionsBehaveLikePlainCalls(t *testing.T) {
 	db := loadedDB(t, 10)
 	a, _, err := db.QueryXQuery(heavyQuery)

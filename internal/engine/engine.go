@@ -11,9 +11,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"github.com/xqdb/xqdb/internal/core"
 	"github.com/xqdb/xqdb/internal/guard"
@@ -87,7 +84,7 @@ type Stats struct {
 	// full XMLExists to re-check.
 	HashJoin       bool
 	JoinCandidates int
-	// ParallelShards is the worker count document-at-a-time execution
+	// ParallelShards is the number of document or row shards execution
 	// actually used (0 or 1 = serial).
 	ParallelShards int
 	// PlanCache reports how the plan was obtained: "hit" or "miss" for
@@ -501,10 +498,9 @@ func opRange(op xdm.CompareOp, v xdm.Value) (xmlindex.Range, bool) {
 	return xmlindex.Range{}, false // != cannot be answered by one range
 }
 
-// probeOutcome is one plan's probe result. Workers fill outcomes
-// concurrently; the merge phase reads them serially in plan order, so
-// Stats (probe counts, IndexesUsed order, trace spans, the violation
-// that aborts the query) stay deterministic regardless of scheduling.
+// probeOutcome is one plan's probe result. Plans run one at a time in
+// plan order, so Stats (probe counts, IndexesUsed order, trace spans,
+// the violation that aborts the query) are deterministic.
 type probeOutcome struct {
 	docs postings.List
 	// nodes carries the node-granularity result when the probe ran for
@@ -519,14 +515,11 @@ type probeOutcome struct {
 	// skipped marks a probe the synopsis short-circuited: ok with an
 	// empty document set, zero index work.
 	skipped bool
-	// err is set only for guard violations and worker panics; the merge
-	// phase aborts the query with it.
+	// err aborts the query: runProbePlans returns it.
 	err error
-	t0  time.Time
 	// stats is this outcome's Stats delta: indexProbe counts probes and
-	// visited keys into it as they run, statsDelta completes it on the
-	// worker, and the serial merge loop folds it into the query's Stats
-	// via (*Stats).merge.
+	// visited keys into it as they run, statsDelta completes it, and
+	// runProbePlans folds it into the query's Stats via (*Stats).merge.
 	stats Stats
 }
 
@@ -565,8 +558,8 @@ func cachedLabel(label string, cached bool) string {
 }
 
 // runProbe executes one probe plan to completion.
-func (e *Engine) runProbe(g *guard.Guard, pl probePlan, o ExecOptions, t0 time.Time) probeOutcome {
-	out := probeOutcome{label: pl.label, t0: t0}
+func (e *Engine) runProbe(g *guard.Guard, pl probePlan, o ExecOptions) probeOutcome {
+	out := probeOutcome{label: pl.label}
 	if pl.skip && !o.NoSynopsis {
 		// Short-circuit: the pattern matches no stored path, so the empty
 		// set is this probe's exact answer. The guard still gets its say —
@@ -634,19 +627,6 @@ func (e *Engine) runProbe(g *guard.Guard, pl probePlan, o ExecOptions, t0 time.T
 	return out
 }
 
-// runProbeSafe is runProbe with panic containment: the probe workers run
-// off the query goroutine, where the boundary recoverPanic cannot reach.
-func (e *Engine) runProbeSafe(g *guard.Guard, pl probePlan, o ExecOptions, t0 time.Time) (out probeOutcome) {
-	defer func() {
-		if r := recover(); r != nil {
-			out = probeOutcome{label: pl.label, t0: t0,
-				err: &guard.Violation{Kind: guard.Internal, Msg: fmt.Sprintf("panic: %v", r)}}
-		}
-		out.stats = pl.statsDelta(&out)
-	}()
-	return e.runProbe(g, pl, o, t0)
-}
-
 // runProbes executes the plans and turns their results into the query's
 // Definition-1 pre-filters — per collection for XQuery bindings, per FROM
 // item for SQL rows — and the evaluator seeds of node-granular probes.
@@ -663,46 +643,22 @@ func (e *Engine) runProbes(g *guard.Guard, plans []probePlan, a *core.Analysis, 
 	return collSets, rowSets, seeds, nil
 }
 
-// runProbePlans executes the plans — independent plans concurrently,
-// bounded by ExecOptions.Parallelism — and folds the outcomes into stats
-// serially in plan order. The first outcome error in plan order aborts.
+// runProbePlans executes the plans serially in plan order, folding each
+// outcome into stats as it completes. The first outcome error aborts; a
+// probe panic unwinds to the query boundary's recoverPanic.
 func (e *Engine) runProbePlans(g *guard.Guard, plans []probePlan, o ExecOptions, stats *Stats) ([]probeOutcome, error) {
 	outcomes := make([]probeOutcome, len(plans))
-	if par := parallelism(o.Parallelism); par > 1 && len(plans) > 1 {
-		if par > len(plans) {
-			par = len(plans)
-		}
-		// Work-stealing by atomic cursor: each worker claims the next
-		// unstarted plan, so a slow probe never strands queued fast ones.
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < par; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(plans) {
-						return
-					}
-					outcomes[i] = e.runProbeSafe(g, plans[i], o, stats.Trace.now())
-				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		for i, pl := range plans {
-			outcomes[i] = e.runProbeSafe(g, pl, o, stats.Trace.now())
-		}
-	}
-	for i := range outcomes {
+	for i, pl := range plans {
+		t0 := stats.Trace.now()
 		r := &outcomes[i]
+		*r = e.runProbe(g, pl, o)
+		r.stats = pl.statsDelta(r)
 		stats.merge(&r.stats)
 		if r.err != nil {
 			return nil, r.err
 		}
 		if r.ok {
-			stats.Trace.add("probe", fmt.Sprintf("%s: %d keys, %d docs", r.label, r.stats.KeysVisited, len(r.docs)), r.t0)
+			stats.Trace.add("probe", fmt.Sprintf("%s: %d keys, %d docs", r.label, r.stats.KeysVisited, len(r.docs)), t0)
 		}
 	}
 	return outcomes, nil

@@ -31,8 +31,9 @@ type ExecOptions struct {
 	Guard *guard.Guard
 	// UseIndexes lets the planner install Definition-1 pre-filters.
 	UseIndexes bool
-	// Parallelism caps the worker count for document-at-a-time
-	// execution: <= 0 means GOMAXPROCS, 1 disables parallelism.
+	// Parallelism caps the shard count of document-at-a-time XQuery
+	// evaluation and of a SELECT's outer row scan (guard.Shards); index
+	// probes always run serially. <= 0 means GOMAXPROCS, 1 runs serially.
 	Parallelism int
 	// Prepared routes plan construction through the plan cache: the
 	// parsed AST, analysis, and probe templates are reused across calls
@@ -353,17 +354,15 @@ func (e *Engine) execXQueryPlan(p *plan, o ExecOptions, stats *Stats) (xdm.Seque
 	return seq, stats, nil
 }
 
-// minParallelDocs is the smallest collection worth sharding; below it the
-// goroutine overhead outweighs the work. A variable so tests can lower it.
-var minParallelDocs = 32
-
 // evalXQuery evaluates a planned XQuery, partitioning the collection
-// across a worker pool when the plan is partitionable and the runtime
+// into document shards when the plan is partitionable and the runtime
 // preconditions hold; otherwise it evaluates serially.
 func (e *Engine) evalXQuery(p *plan, resolver xquery.CollectionResolver, g *guard.Guard, par int, seeds xquery.Seeds, stats *Stats) (xdm.Sequence, error) {
 	if par > 1 && p.partColl != "" {
-		if seq, ok, err := evalPartitioned(p, resolver, g, par, seeds, stats); ok {
-			return seq, err
+		// A resolution error is left to serial evaluation, which surfaces
+		// it with its ordinary message.
+		if docs, err := resolver.Collection(p.partColl); err == nil && treeOrdered(docs) {
+			return evalPartitioned(p, resolver, docs, g, par, seeds, stats)
 		}
 	}
 	return xquery.EvalGuardedSeeded(p.xq, nil, resolver, g, seeds)
@@ -382,61 +381,32 @@ func treeOrdered(docs []*xdm.Node) bool {
 	return true
 }
 
-// evalPartitioned splits the partitionable collection into contiguous
-// shards and evaluates the full query once per shard, concatenating the
-// results in shard order — byte-identical to the serial result. ok=false
-// means a runtime precondition failed and the caller must run serially.
-func evalPartitioned(p *plan, resolver xquery.CollectionResolver, g *guard.Guard, par int, seeds xquery.Seeds, stats *Stats) (xdm.Sequence, bool, error) {
-	docs, err := resolver.Collection(p.partColl)
+// evalPartitioned evaluates the full query once per contiguous shard of
+// the partitionable collection's documents and concatenates the results
+// in shard order — byte-identical to the serial result.
+func evalPartitioned(p *plan, resolver xquery.CollectionResolver, docs []*xdm.Node, g *guard.Guard, par int, seeds xquery.Seeds, stats *Stats) (xdm.Sequence, error) {
+	outs, err := guard.Shards(par, len(docs), func(lo, hi int) (xdm.Sequence, error) {
+		sub := &xquery.ShardResolver{Name: p.partColl, Docs: docs[lo:hi], Next: resolver}
+		return xquery.EvalGuardedSeeded(p.xq, nil, sub, g, seeds)
+	})
 	if err != nil {
-		// Let serial evaluation surface the resolution error with its
-		// ordinary message.
-		return nil, false, nil
+		return nil, err
 	}
-	if len(docs) < minParallelDocs || !treeOrdered(docs) {
-		return nil, false, nil
+	stats.merge(&Stats{ParallelShards: len(outs)})
+	if len(outs) == 1 {
+		return outs[0], nil
 	}
-	shards := par
-	if shards > len(docs) {
-		shards = len(docs)
-	}
-	outs := make([]xdm.Sequence, shards)
-	errs := make([]error, shards)
-	var wg sync.WaitGroup
-	for i := 0; i < shards; i++ {
-		lo := i * len(docs) / shards
-		hi := (i + 1) * len(docs) / shards
-		wg.Add(1)
-		go func(i int, chunk []*xdm.Node) {
-			defer wg.Done()
-			// A worker panic must not crash the process: convert it the
-			// same way the query boundary does.
-			defer func() {
-				if r := recover(); r != nil {
-					errs[i] = &guard.Violation{Kind: guard.Internal, Msg: fmt.Sprintf("panic: %v", r)}
-				}
-			}()
-			sub := &xquery.ShardResolver{Name: p.partColl, Docs: chunk, Next: resolver}
-			outs[i], errs[i] = xquery.EvalGuardedSeeded(p.xq, nil, sub, g, seeds)
-		}(i, docs[lo:hi])
-	}
-	wg.Wait()
 	t0 := stats.Trace.now()
 	total := 0
-	for i := range outs {
-		if errs[i] != nil {
-			// Report the first shard's error for determinism.
-			return nil, true, errs[i]
-		}
-		total += len(outs[i])
+	for _, out := range outs {
+		total += len(out)
 	}
 	seq := make(xdm.Sequence, 0, total)
-	for i := range outs {
-		seq = append(seq, outs[i]...)
+	for _, out := range outs {
+		seq = append(seq, out...)
 	}
-	stats.Trace.add("merge", fmt.Sprintf("%d shards, %d items", shards, total), t0)
-	stats.ParallelShards = shards
-	return seq, true, nil
+	stats.Trace.add("merge", fmt.Sprintf("%d shards, %d items", len(outs), total), t0)
+	return seq, nil
 }
 
 // ExecSQLOpts plans (or fetches a cached plan) and runs a SQL/XML

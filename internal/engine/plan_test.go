@@ -198,9 +198,8 @@ func TestSemiJoinValuesFreshPerExecution(t *testing.T) {
 // Parallel document-at-a-time execution must be byte-identical to the
 // serial order at any worker count, with and without index pre-filtering.
 func TestParallelExecutionDeterminism(t *testing.T) {
-	oldDocs := minParallelDocs
-	defer func() { minParallelDocs = oldDocs }()
-	minParallelDocs = 8
+	defer func(n int) { guard.ShardFloor = n }(guard.ShardFloor)
+	guard.ShardFloor = 8
 
 	e := newPaperDB(t, 64)
 	createLiPrice(t, e)
@@ -231,7 +230,7 @@ func TestParallelExecutionDeterminism(t *testing.T) {
 
 // Below the size floor the engine must fall back to serial execution.
 func TestParallelSmallCollectionFallsBack(t *testing.T) {
-	e := newPaperDB(t, 8) // below minParallelDocs
+	e := newPaperDB(t, 8) // below guard.ShardFloor
 	seq, stats, err := e.ExecXQueryOpts(planQ1, ExecOptions{Parallelism: 8})
 	if err != nil {
 		t.Fatal(err)

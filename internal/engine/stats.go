@@ -5,15 +5,14 @@ import (
 	"strings"
 )
 
-// merge folds one delta — a probe worker's outcome, a shard's share of
-// the work, or the SQL executor's scan totals — into s. It is THE
-// combining point for Stats: parallel paths fill a private Stats and the
-// serial merge loop folds them in deterministic (plan or shard) order,
-// so a field missed here ships uncounted exactly the way PR 8's
-// SynopsisSkips and PR 9's NodesDecoded almost did. The statsmerge
-// analyzer enforces that every Stats field is handled below; when you
-// add a field, decide its merge semantics here (sum, append, max, or
-// latest-wins) in the same commit.
+// merge folds one delta — a probe's outcome, the document shard count,
+// or the SQL executor's scan totals — into s. It is THE combining point
+// for Stats: each stage fills a private Stats and merge folds it in on
+// the query goroutine, probes in plan order, so a field missed here
+// ships uncounted, as SynopsisSkips and NodesDecoded once almost did.
+// The statsmerge analyzer enforces that every Stats field is handled
+// below; when you add a field, decide its merge semantics here (sum,
+// append, max, or latest-wins) in the same commit.
 func (s *Stats) merge(o *Stats) {
 	// Ordered slices append: deltas arrive in plan order.
 	s.IndexesUsed = append(s.IndexesUsed, o.IndexesUsed...)
@@ -28,8 +27,8 @@ func (s *Stats) merge(o *Stats) {
 	s.SynopsisSkips += o.SynopsisSkips
 	s.NodesDecoded += o.NodesDecoded
 	s.NodesSeeded += o.NodesSeeded
-	// Shard width is a high-water mark, not a sum: nested parallel
-	// stages report the widest fan-out.
+	// Shard count is a high-water mark, not a sum: a query reports its
+	// widest fan-out.
 	if o.ParallelShards > s.ParallelShards {
 		s.ParallelShards = o.ParallelShards
 	}
@@ -100,10 +99,8 @@ func (s *Stats) Summary() string {
 	return b.String()
 }
 
-// statsDelta builds the Stats contribution of one probe outcome. It runs
-// on the probe worker, so the serial merge loop only folds ready-made
-// deltas — label order, estimate order, and counter totals stay
-// deterministic regardless of worker scheduling.
+// statsDelta builds the Stats contribution of one probe outcome, which
+// runProbePlans folds into the query's Stats right after the probe runs.
 func (pl probePlan) statsDelta(r *probeOutcome) Stats {
 	// Probe and key counts record even for failed or non-probeable
 	// outcomes: the index work that ran before the error is real work.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"github.com/xqdb/xqdb/internal/guard"
@@ -24,9 +23,10 @@ type Executor struct {
 	Catalog *storage.Catalog
 	Coll    xquery.CollectionResolver
 	Guard   *guard.Guard
-	// Parallel caps the worker count for partitioning a SELECT's outer
-	// base-table scan; <= 1 runs serially. Shard results are gathered in
-	// shard order, so output is byte-identical to the serial order.
+	// Parallel caps the shard count for partitioning a SELECT's outer
+	// base-table scan (guard.Shards); <= 1 runs serially. Shard results
+	// are gathered in shard order, so output is byte-identical to the
+	// serial order.
 	Parallel int
 }
 
@@ -58,7 +58,7 @@ type Result struct {
 	// RowsScanned counts base-table rows visited, the measure the
 	// Definition-1 pre-filter reduces.
 	RowsScanned int
-	// ParallelShards is the worker count the outer scan used (0 or 1 =
+	// ParallelShards is the shard count the outer scan used (0 or 1 =
 	// serial).
 	ParallelShards int
 	// HashJoin reports that the statement ran as a hash join (see
@@ -294,13 +294,12 @@ func (e *Executor) execSelect(s *Select, pf Prefilter) (*Result, error) {
 	}
 
 	// A recognised XMLExists equality join (hashJoin) computes each outer
-	// row's candidate inner rows up front. The join loop runs in one or
-	// more workers. With Parallel > 1 and at least minParallelRows outer
-	// rows (counted after the pre-filter), the outer rows and their
-	// candidate lists are partitioned into contiguous shards, one worker
-	// each; shard outputs concatenate in shard order, which reproduces the
-	// serial row order exactly. Workers share the guard (atomic counters)
-	// and an output-row count for the result-item limit.
+	// row's candidate inner rows up front. The join loop runs in one
+	// worker per shard of the outer rows (counted after the pre-filter)
+	// and their candidate lists — guard.Shards decides how many; shard
+	// outputs concatenate in shard order, which reproduces the serial row
+	// order exactly. Workers share the guard (atomic counters) and an
+	// output-row count for the result-item limit.
 	var outer []storage.Row
 	if len(tabs) > 0 && tabs[0] != nil {
 		outer = tabs[0].rows
@@ -322,52 +321,21 @@ func (e *Executor) execSelect(s *Select, pf Prefilter) (*Result, error) {
 		}
 	}
 	var emitted atomic.Int64
-	newWorker := func(lo, hi int) *selectWorker {
-		w := &selectWorker{e: e, s: s, tabs: tabs, outCols: res.Columns, emitted: &emitted, outer: outer[lo:hi]}
+	workers, err := guard.Shards(e.Parallel, len(outer), func(lo, hi int) (selectWorker, error) {
+		w := selectWorker{e: e, s: s, tabs: tabs, outCols: res.Columns, emitted: &emitted, outer: outer[lo:hi]}
 		if cand != nil {
 			w.cand = cand[lo:hi]
 		}
-		return w
+		err := w.loop(0) // before w is copied out: loop fills it
+		return w, err
+	})
+	if err != nil {
+		return nil, err
 	}
-	var workers []*selectWorker
-	if par := e.Parallel; par > 1 && len(outer) >= minParallelRows {
-		if par > len(outer) {
-			par = len(outer)
-		}
-		ws := make([]*selectWorker, par)
-		errs := make([]error, par)
-		var wg sync.WaitGroup
-		for i := 0; i < par; i++ {
-			ws[i] = newWorker(i*len(outer)/par, (i+1)*len(outer)/par)
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						errs[i] = &guard.Violation{Kind: guard.Internal, Msg: fmt.Sprintf("panic: %v", r)}
-					}
-				}()
-				errs[i] = ws[i].loop(0)
-			}(i)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-		workers = ws
-		res.ParallelShards = par
-	}
-	if workers == nil {
-		w := newWorker(0, len(outer))
-		if err := w.loop(0); err != nil {
-			return nil, err
-		}
-		workers = []*selectWorker{w}
-	}
+	res.ParallelShards = len(workers)
 	var keyed []keyedRow
-	for _, w := range workers {
+	for i := range workers {
+		w := &workers[i]
 		res.Rows = append(res.Rows, w.rows...)
 		keyed = append(keyed, w.keyed...)
 		res.RowsScanned += w.scanned
@@ -401,11 +369,6 @@ func (e *Executor) execSelect(s *Select, pf Prefilter) (*Result, error) {
 	}
 	return res, nil
 }
-
-// minParallelRows is the smallest outer row set — after the pre-filter —
-// worth sharding; below it the goroutine overhead outweighs the work. A
-// variable so tests can lower it.
-var minParallelRows = 32
 
 // fromTable is one FROM table resolved for a statement: its column names
 // and a single snapshot of the rows it contributes.

@@ -171,8 +171,8 @@ func joinCorpus(t *testing.T, rng *rand.Rand, na, nb int, nonNumeric bool) *Exec
 // identical error outcomes, serially and sharded, with and without
 // ORDER BY / LIMIT, for the double fast path and every fallback.
 func TestHashJoinMatchesNestedLoopProperty(t *testing.T) {
-	defer func(n int) { minParallelRows = n }(minParallelRows)
-	minParallelRows = 2
+	defer func(n int) { guard.ShardFloor = n }(guard.ShardFloor)
+	guard.ShardFloor = 2
 	bodies := []struct {
 		name, xq string
 		fast     bool // numeric corpora must take the hash path

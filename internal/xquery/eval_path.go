@@ -120,13 +120,7 @@ func positionFreeComparison(e Expr) bool {
 	if _, ok := e.(*Comparison); !ok {
 		return false
 	}
-	free := true
-	walkExpr(e, func(sub Expr) {
-		if fc, ok := sub.(*FunctionCall); ok && fc.Space == "fn" && (fc.Local == "position" || fc.Local == "last") {
-			free = false
-		}
-	})
-	return free
+	return !callsPositional(e)
 }
 
 // evalDescendantStep runs a pair that fusesDescendant accepts as the one

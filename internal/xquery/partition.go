@@ -18,7 +18,10 @@ import (
 //
 //   - the query body is the call itself, or
 //   - the body is a path whose Start is the call (steps and their
-//     predicates evaluate per context node, never across documents), or
+//     predicates evaluate per context node, never across documents) and
+//     no filter-step expression calls fn:position or fn:last (those
+//     observe the focus over the whole intermediate sequence, which
+//     spans every document), or
 //   - the body is a FLWOR whose first (outermost) clause is a for-binding
 //     of the call (or of a path starting at it) with no positional
 //     variable, and the FLWOR has no order-by.
@@ -56,7 +59,7 @@ func distributiveExpr(body Expr) Expr {
 	case *FunctionCall:
 		return x
 	case *PathExpr:
-		return x.Start
+		return pathStart(x)
 	case *FLWOR:
 		if len(x.OrderBy) > 0 || len(x.Clauses) == 0 {
 			return nil
@@ -69,10 +72,34 @@ func distributiveExpr(body Expr) Expr {
 		case *FunctionCall:
 			return b
 		case *PathExpr:
-			return b.Start
+			return pathStart(b)
 		}
 	}
 	return nil
+}
+
+// pathStart returns the path's Start, or nil when a filter step's
+// expression calls fn:position or fn:last: a shard would number or count
+// only its own part of the sequence. Axis-step predicates are safe; they
+// count per context node.
+func pathStart(p *PathExpr) Expr {
+	for _, st := range p.Steps {
+		if callsPositional(st.Filter) {
+			return nil
+		}
+	}
+	return p.Start
+}
+
+// callsPositional reports whether e calls fn:position or fn:last anywhere.
+func callsPositional(e Expr) bool {
+	found := false
+	walkExpr(e, func(sub Expr) {
+		if fc, ok := sub.(*FunctionCall); ok && fc.Space == "fn" && (fc.Local == "position" || fc.Local == "last") {
+			found = true
+		}
+	})
+	return found
 }
 
 // literalXMLColumn matches a db2-fn:xmlcolumn call with a literal

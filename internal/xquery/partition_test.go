@@ -19,6 +19,9 @@ func TestPartitionable(t *testing.T) {
 		{"first for-clause", `for $i in db2-fn:xmlcolumn('ORDERS.ORDDOC')//order where $i/custid = 1 return $i`, "ORDERS.ORDDOC"},
 		{"for over bare call", `for $d in db2-fn:xmlcolumn('ORDERS.ORDDOC') return $d//lineitem`, "ORDERS.ORDDOC"},
 		{"nested flwor in return", `for $d in db2-fn:xmlcolumn('ORDERS.ORDDOC') return (for $l in $d//lineitem return $l/@price)`, "ORDERS.ORDDOC"},
+		{"positional axis predicate", `db2-fn:xmlcolumn('ORDERS.ORDDOC')/order/lineitem[last()]`, "ORDERS.ORDDOC"},
+		{"position in axis predicate", `db2-fn:xmlcolumn('ORDERS.ORDDOC')//lineitem[position() = 1]/@price`, "ORDERS.ORDDOC"},
+		{"filter step without focus", `db2-fn:xmlcolumn('ORDERS.ORDDOC')/order/count(lineitem)`, "ORDERS.ORDDOC"},
 
 		// Negative: shapes where partitioning would change the result.
 		{"order by", `for $i in db2-fn:xmlcolumn('ORDERS.ORDDOC')//order order by $i/custid return $i`, ""},
@@ -29,6 +32,14 @@ func TestPartitionable(t *testing.T) {
 		{"inner for-clause", `for $c in (1, 2) for $i in db2-fn:xmlcolumn('ORDERS.ORDDOC')//order return $i`, ""},
 		{"dynamic collection name", `db2-fn:xmlcolumn(concat('ORDERS', '.ORDDOC'))`, ""},
 		{"no collection", `1 + 2`, ""},
+		// A filter step's focus spans the whole intermediate sequence, so
+		// fn:position and fn:last there count across documents.
+		{"position filter step", `db2-fn:xmlcolumn('ORDERS.ORDDOC')/position()`, ""},
+		{"last filter step", `db2-fn:xmlcolumn('ORDERS.ORDDOC')/order/last()`, ""},
+		{"prefixed last filter step", `db2-fn:xmlcolumn('ORDERS.ORDDOC')/fn:last()`, ""},
+		{"position inside filter expression", `db2-fn:xmlcolumn('ORDERS.ORDDOC')//lineitem/(position() * 2)`, ""},
+		{"for over position filter step", `for $x in db2-fn:xmlcolumn('ORDERS.ORDDOC')/position() return $x`, ""},
+		{"for over last filter step", `for $x in db2-fn:xmlcolumn('ORDERS.ORDDOC')/order/last() return $x`, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -228,6 +228,39 @@ func TestTraceSpans(t *testing.T) {
 	}
 }
 
+// TestProbeSpansInPlanOrder runs a two-probe query under Trace: probes
+// run one at a time in plan order, so their spans follow IndexesUsed and
+// never overlap — overlapping spans would be counted twice against the
+// query's wall clock.
+func TestProbeSpansInPlanOrder(t *testing.T) {
+	db := loadedDB(t, 64)
+	db.MustExecSQL(`create index prod_id on orders(orddoc) using xmlpattern '//lineitem/product/id' as varchar`)
+	for i := 0; i < 20; i++ {
+		q := fmt.Sprintf(`for $i in db2-fn:xmlcolumn("ORDERS.ORDDOC")/order/lineitem where $i/product/id/data(.) = 'P%d' and $i/@price > %d return $i/@quantity`, i%8, i)
+		_, stats, err := db.QueryXQueryOpts(q, QueryOptions{Trace: true, Parallelism: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		probes := stats.Trace.Spans[:0:0]
+		for _, s := range stats.Trace.Spans {
+			if s.Name == "probe" {
+				probes = append(probes, s)
+			}
+		}
+		if len(probes) != 2 || len(stats.IndexesUsed) != 2 {
+			t.Fatalf("%s: %d probe spans, indexes %v; want two probes", q, len(probes), stats.IndexesUsed)
+		}
+		for k, s := range probes {
+			if !strings.HasPrefix(s.Note, stats.IndexesUsed[k]+":") {
+				t.Fatalf("probe span %d is %q; want plan order %v", k, s.Note, stats.IndexesUsed)
+			}
+		}
+		if end := probes[0].Start + probes[0].Dur; probes[1].Start < end {
+			t.Fatalf("probe spans overlap: %+v ends at %v, %+v starts at %v", probes[0], end, probes[1], probes[1].Start)
+		}
+	}
+}
+
 // TestSlowQueryHook: a threshold of 1ns marks every query slow, firing
 // the callback (with forced tracing) and the queries.slow counter.
 func TestSlowQueryHook(t *testing.T) {
@@ -273,7 +306,7 @@ func TestSlowQueryHook(t *testing.T) {
 func TestSlowQueryHookParallelExecution(t *testing.T) {
 	db := Open()
 	db.MustExecSQL(`create table orders (ordid integer, orddoc xml)`)
-	// Enough documents to clear the engine's minParallelDocs sharding
+	// Enough documents to clear guard.ShardFloor, the sharding
 	// floor, so Parallelism actually fans out.
 	const docs = 64
 	for i := 0; i < docs; i++ {

@@ -76,10 +76,11 @@ type QueryOptions struct {
 	// query execution (XMLPARSE); 0 falls back to the parser defaults.
 	MaxParseDepth int
 	MaxDocBytes   int
-	// Parallelism caps the worker count for document-at-a-time execution
+	// Parallelism caps the shard count for document-at-a-time execution
 	// (the top-level collection binding of an XQuery, or a SELECT's
-	// outer base-table scan). 0 means GOMAXPROCS; 1 runs serially.
-	// Results are byte-identical to the serial order at any setting.
+	// outer base-table scan); index probes always run serially. 0 means
+	// GOMAXPROCS; 1 runs serially. Results are byte-identical to the
+	// serial order at any setting.
 	Parallelism int
 	// Trace collects timed execution spans (plan, per-probe, eval/scan,
 	// merge) on Stats.Trace. Untraced queries pay no tracing cost.

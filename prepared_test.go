@@ -214,6 +214,38 @@ func TestParallelismKnobDeterminism(t *testing.T) {
 	}
 }
 
+// fn:position and fn:last in a filter step count across every document
+// of the collection, so document shards must not split them: each shape
+// answers the same at Parallelism 4 as serially.
+func TestParallelPositionalFilterSteps(t *testing.T) {
+	db := loadedDB(t, 64)
+	for _, q := range []string{
+		`db2-fn:xmlcolumn("ORDERS.ORDDOC")/position()`,
+		`db2-fn:xmlcolumn("ORDERS.ORDDOC")/order/last()`,
+		`for $x in db2-fn:xmlcolumn("ORDERS.ORDDOC")/position() return $x`,
+		`db2-fn:xmlcolumn("ORDERS.ORDDOC")/order/lineitem[last()]/@price`,
+	} {
+		serial, _, err := db.QueryXQueryOpts(q, QueryOptions{Parallelism: 1})
+		if err != nil {
+			t.Fatalf("%s serial: %v", q, err)
+		}
+		par, _, err := db.QueryXQueryOpts(q, QueryOptions{Parallelism: 4})
+		if err != nil {
+			t.Fatalf("%s parallel: %v", q, err)
+		}
+		if got, want := fmt.Sprint(par.Rows()), fmt.Sprint(serial.Rows()); got != want {
+			t.Errorf("%s: Parallelism 4 gives %.80s…, serial %.80s…", q, got, want)
+		}
+	}
+	first, _, err := db.QueryXQueryOpts(`db2-fn:xmlcolumn("ORDERS.ORDDOC")/position()`, QueryOptions{Parallelism: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Len() != 64 || first.Cell(63, 0) != "64" {
+		t.Fatalf("/position() over 64 documents: %d items, last %q; want 1..64", first.Len(), first.Cell(first.Len()-1, 0))
+	}
+}
+
 // Cancellation must reach the parallel workers through the shared guard.
 func TestParallelCancellation(t *testing.T) {
 	db := loadedDB(t, 64)
