@@ -69,8 +69,9 @@ loadtest:
 	grep -q 'drain:' loadtest-server.log
 
 # Short fuzz burns over the parser entry points, the path-step
-# differential, the containment kernel against its map-based reference
-# and the index/synopsis agreement check; failures become
+# differential, the containment kernel against its map-based reference,
+# the seed survivor filter against a linear Contains filter and the
+# index/synopsis agreement check; failures become
 # seed corpus regressions under testdata/fuzz/.
 FUZZTIME ?= 15s
 
@@ -79,6 +80,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzXQueryParse -fuzztime=$(FUZZTIME) ./internal/xquery
 	$(GO) test -run='^$$' -fuzz=FuzzPathStepOrder -fuzztime=$(FUZZTIME) ./internal/xquery
 	$(GO) test -run='^$$' -fuzz=FuzzContainsAgainstReference -fuzztime=$(FUZZTIME) ./internal/pattern
+	$(GO) test -run='^$$' -fuzz=FuzzNextInDocsAgainstContains -fuzztime=$(FUZZTIME) ./internal/postings
 	$(GO) test -run='^$$' -fuzz=FuzzIndexSynopsisAgree -fuzztime=$(FUZZTIME) ./internal/xmlindex
 
 # loc prints the line counts a change reports: non-test Go outside bench/

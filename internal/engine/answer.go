@@ -92,7 +92,7 @@ func (e *Engine) planAnswer(q *core.DocFreeQuery) *answerSource {
 func (e *Engine) answer(a *answerSource, g *guard.Guard, o ExecOptions, stats *Stats) (xdm.Sequence, bool, error) {
 	t0, keys0 := stats.Trace.now(), stats.KeysVisited
 	var nodes int64
-	label, detail := a.label, ""
+	label := a.label
 	if a.index == nil {
 		if o.NoSynopsis || a.table == nil {
 			return nil, false, nil
@@ -100,7 +100,6 @@ func (e *Engine) answer(a *answerSource, g *guard.Guard, o ExecOptions, stats *S
 		if nodes, _ = a.table.Synopsis(a.column).Match(a.q.Pattern); nodes < 0 {
 			return nil, false, nil
 		}
-		detail = fmt.Sprintf("%d nodes", nodes)
 		stats.SynopsisAnswered = true
 	} else {
 		if o.NoIndexOnly || annotatedColumn(a.table, a.q.Collection) {
@@ -114,10 +113,15 @@ func (e *Engine) answer(a *answerSource, g *guard.Guard, o ExecOptions, stats *S
 		stats.NodesDecoded += len(list)
 		stats.IndexOnlyAnswered = true
 		label = cachedLabel(label+" [index-only]", cached)
-		detail = fmt.Sprintf("%d keys, %d nodes", stats.KeysVisited-keys0, nodes)
 	}
 	stats.IndexesUsed = append(stats.IndexesUsed, label)
-	stats.Trace.add("probe", label+": "+detail, t0)
+	if stats.Trace != nil {
+		note := fmt.Sprintf("%s: %d nodes", label, nodes)
+		if a.index != nil {
+			note = fmt.Sprintf("%s: %d keys, %d nodes", label, stats.KeysVisited-keys0, nodes)
+		}
+		stats.Trace.add("probe", note, t0)
+	}
 	// A free answer still answers to the guard: a canceled query aborts
 	// instead of returning it.
 	if err := g.Check(); err != nil {

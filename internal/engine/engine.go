@@ -107,7 +107,8 @@ type Stats struct {
 	// decoded this execution (index-only answers and seed probes).
 	NodesDecoded int
 	// NodesSeeded totals the index-matched nodes installed as
-	// navigation seeds for probe-guided re-evaluation.
+	// navigation seeds for probe-guided re-evaluation: the hits in
+	// documents the combined pre-filter keeps, not every probed hit.
 	NodesSeeded int
 	// Trace holds timed execution spans when ExecOptions.Trace is set;
 	// nil otherwise.
@@ -607,13 +608,13 @@ func (e *Engine) runProbe(g *guard.Guard, pl probePlan, o ExecOptions) probeOutc
 		// so the hits can seed re-evaluation. The document projection
 		// keeps the Definition-1 pre-filter identical to the doc-granular
 		// probe.
-		nodes, cached, ok, err := indexProbe(pl.index.NodeList, pl.probe, g, o, &out.stats)
+		hits, cached, ok, err := indexProbe(pl.index.Hits, pl.probe, g, o, &out.stats)
 		if !ok {
 			out.err = err
 			return out
 		}
-		out.nodes, out.docs, out.cached = nodes, nodes.Docs(), cached
-		out.label += fmt.Sprintf(" [node-granular: %d nodes]", len(nodes))
+		out.nodes, out.docs, out.cached = hits.Nodes, hits.Docs, cached
+		out.label += fmt.Sprintf(" [node-granular: %d nodes]", len(hits.Nodes))
 	} else {
 		docs, cached, ok, err := indexProbe(pl.index.DocList, pl.probe, g, o, &out.stats)
 		if !ok {
@@ -630,16 +631,20 @@ func (e *Engine) runProbe(g *guard.Guard, pl probePlan, o ExecOptions) probeOutc
 // runProbes executes the plans and turns their results into the query's
 // Definition-1 pre-filters — per collection for XQuery bindings, per FROM
 // item for SQL rows — and the evaluator seeds of node-granular probes.
+// The order is run → intersect node scopes → combine → seed: the
+// pre-filters are decided from the postings alone, and only hits in the
+// documents they keep are seeded.
 func (e *Engine) runProbes(g *guard.Guard, plans []probePlan, a *core.Analysis, o ExecOptions, stats *Stats) (map[string]postings.List, map[int]postings.List, xquery.Seeds, error) {
 	outcomes, err := e.runProbePlans(g, plans, o, stats)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	seeds, err := e.seedProbes(g, plans, outcomes, stats)
+	intersectNodeScopes(plans, outcomes)
+	collSets, rowSets := combineProbes(plans, outcomes, a)
+	seeds, err := e.seedProbes(g, plans, outcomes, collSets, stats)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	collSets, rowSets := combineProbes(plans, outcomes, a)
 	return collSets, rowSets, seeds, nil
 }
 
@@ -657,7 +662,7 @@ func (e *Engine) runProbePlans(g *guard.Guard, plans []probePlan, o ExecOptions,
 		if r.err != nil {
 			return nil, r.err
 		}
-		if r.ok {
+		if r.ok && stats.Trace != nil {
 			stats.Trace.add("probe", fmt.Sprintf("%s: %d keys, %d docs", r.label, r.stats.KeysVisited, len(r.docs)), t0)
 		}
 	}
@@ -669,20 +674,20 @@ func nodeHits(plans []probePlan, outcomes []probeOutcome, i int) bool {
 	return outcomes[i].ok && outcomes[i].nodes != nil && plans[i].forRow < 0
 }
 
-// seedProbes turns each node-granular outcome's hits into the evaluator
-// seed of its compared path(s). When several node probes are direct
-// conjuncts of ONE conjunction scope (the same bracket or where clause)
-// over the same occurrence and pattern through a singleton compared path,
-// one node must satisfy every comparison: the hit lists intersect at node
-// granularity — a per-document refinement the doc-level intersection
-// cannot see — and each member's document projection narrows to the
-// intersection's, which combineProbes then folds into the occurrence's
-// pre-filter. Probes from different scopes never intersect, even over the
-// same occurrence and pattern: the conjuncts are existentially
-// independent (a document may satisfy each with a different node), and a
-// positional predicate between two brackets observes the intermediate
-// sequence, which intersection-pruned seeds would reshape.
-func (e *Engine) seedProbes(g *guard.Guard, plans []probePlan, outcomes []probeOutcome, stats *Stats) (xquery.Seeds, error) {
+// intersectNodeScopes refines node-granular outcomes that share one
+// conjunction scope. When several node probes are direct conjuncts of
+// ONE scope (the same bracket or where clause) over the same occurrence
+// and pattern through a singleton compared path, one node must satisfy
+// every comparison: the hit lists intersect at node granularity — a
+// per-document refinement the doc-level intersection cannot see — and
+// each member's document projection narrows to the intersection's, which
+// combineProbes then folds into the occurrence's pre-filter. Probes from
+// different scopes never intersect, even over the same occurrence and
+// pattern: the conjuncts are existentially independent (a document may
+// satisfy each with a different node), and a positional predicate
+// between two brackets observes the intermediate sequence, which
+// intersection-pruned seeds would reshape.
+func intersectNodeScopes(plans []probePlan, outcomes []probeOutcome) {
 	type scopeKey struct {
 		coll       string
 		occ, scope int
@@ -708,25 +713,46 @@ func (e *Engine) seedProbes(g *guard.Guard, plans []probePlan, outcomes []probeO
 			outcomes[i].nodes, outcomes[i].docs = inter, docs
 		}
 	}
+}
+
+// seedProbes turns each node-granular outcome's hits into the evaluator
+// seed of its compared path(s), keeping only hits in documents the
+// resolver will serve: collSets[coll], the union across the collection's
+// occurrences. A hit outside it sits in a document no binding of the
+// collection ever sees, so its seed could never be consulted. The filter
+// is not one occurrence's own intersection: the resolver hands every
+// occurrence the union, so a seeded path may navigate a document another
+// occurrence kept. A poisoned collection (no entry) is served whole and
+// seeds every hit.
+func (e *Engine) seedProbes(g *guard.Guard, plans []probePlan, outcomes []probeOutcome, collSets map[string]postings.List, stats *Stats) (xquery.Seeds, error) {
+	t0 := stats.Trace.now()
 	var seeds xquery.Seeds
+	probed, seeded, docs := 0, 0, 0
 	for i, pl := range plans {
 		if !nodeHits(plans, outcomes, i) {
 			continue
 		}
-		seed, err := e.buildSeed(g, pl.table, pl.coll, outcomes[i].nodes)
+		survivors, filtered := collSets[pl.coll]
+		seed, n, err := e.buildSeed(g, pl.table, pl.coll, outcomes[i].nodes, survivors, filtered)
 		if err != nil {
 			return nil, err
 		}
 		if seed == nil {
 			continue
 		}
-		stats.NodesSeeded += len(outcomes[i].nodes)
+		probed += len(outcomes[i].nodes)
+		seeded += n
+		docs += len(seed.Hits)
 		if seeds == nil {
 			seeds = xquery.Seeds{}
 		}
 		for _, pe := range pl.seeds {
 			seeds[pe] = seed
 		}
+	}
+	stats.NodesSeeded += seeded
+	if seeds != nil && stats.Trace != nil {
+		stats.Trace.add("seed", fmt.Sprintf("%d/%d hits, %d docs", seeded, probed, docs), t0)
 	}
 	return seeds, nil
 }

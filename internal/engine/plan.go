@@ -298,7 +298,9 @@ func (e *Engine) ExecXQueryOpts(query string, o ExecOptions) (_ xdm.Sequence, _ 
 	defer recoverPanic(&err)
 	t0 := stats.Trace.now()
 	p, err := e.planFor(query, LangXQuery, o.UseIndexes, o.Prepared, stats)
-	stats.Trace.add("plan", "cache="+stats.PlanCache, t0)
+	if stats.Trace != nil {
+		stats.Trace.add("plan", "cache="+stats.PlanCache, t0)
+	}
 	if err != nil {
 		return nil, nil, err
 	}
@@ -344,7 +346,9 @@ func (e *Engine) execXQueryPlan(p *plan, o ExecOptions, stats *Stats) (xdm.Seque
 	}
 	t0 := stats.Trace.now()
 	seq, err := e.evalXQuery(p, resolver, g, parallelism(o.Parallelism), seeds, stats)
-	stats.Trace.add("eval", fmt.Sprintf("%d items, shards=%d", len(seq), stats.ParallelShards), t0)
+	if stats.Trace != nil {
+		stats.Trace.add("eval", fmt.Sprintf("%d items, shards=%d", len(seq), stats.ParallelShards), t0)
+	}
 	if err != nil {
 		return nil, nil, err
 	}
@@ -405,7 +409,9 @@ func evalPartitioned(p *plan, resolver xquery.CollectionResolver, docs []*xdm.No
 	for _, out := range outs {
 		seq = append(seq, out...)
 	}
-	stats.Trace.add("merge", fmt.Sprintf("%d shards, %d items", len(outs), total), t0)
+	if stats.Trace != nil {
+		stats.Trace.add("merge", fmt.Sprintf("%d shards, %d items", len(outs), total), t0)
+	}
 	return seq, nil
 }
 
@@ -418,7 +424,9 @@ func (e *Engine) ExecSQLOpts(query string, o ExecOptions) (_ *sqlxml.Result, _ *
 	defer recoverPanic(&err)
 	t0 := stats.Trace.now()
 	p, err := e.planFor(query, LangSQL, o.UseIndexes, o.Prepared, stats)
-	stats.Trace.add("plan", "cache="+stats.PlanCache, t0)
+	if stats.Trace != nil {
+		stats.Trace.add("plan", "cache="+stats.PlanCache, t0)
+	}
 	if err != nil {
 		return nil, nil, err
 	}
@@ -464,11 +472,13 @@ func (e *Engine) execSQLPlan(p *plan, o ExecOptions, stats *Stats) (*sqlxml.Resu
 	if err != nil {
 		return nil, nil, err
 	}
-	label := fmt.Sprintf("%d rows, shards=%d", res.RowsScanned, res.ParallelShards)
-	if res.HashJoin {
-		label += fmt.Sprintf(", hash join %d candidates", res.JoinCandidates)
+	if stats.Trace != nil {
+		label := fmt.Sprintf("%d rows, shards=%d", res.RowsScanned, res.ParallelShards)
+		if res.HashJoin {
+			label += fmt.Sprintf(", hash join %d candidates", res.JoinCandidates)
+		}
+		stats.Trace.add("scan", label, t0)
 	}
-	stats.Trace.add("scan", label, t0)
 	// The executor's shard gather already combined per-worker counts;
 	// fold its totals through the one canonical merge point.
 	stats.merge(&Stats{RowsScanned: res.RowsScanned, ParallelShards: res.ParallelShards,

@@ -36,3 +36,30 @@ func TestBuildPlanAllocsPerRejectedIndex(t *testing.T) {
 		}
 	}
 }
+
+// TestUntracedStatementBuildsNoSpanNotes bounds a plan-cached, untraced
+// statement answered from the path synopsis. What it must allocate is its
+// Stats, the IndexesUsed entry and the one-integer result; span notes
+// (the plan-cache state, the probe detail) are formatted only when the
+// query is traced, so they must not show up here.
+func TestUntracedStatementBuildsNoSpanNotes(t *testing.T) {
+	e := newPaperDB(t, 10)
+	const q = `fn:count(db2-fn:xmlcolumn('ORDERS.ORDDOC')//lineitem)`
+	o := ExecOptions{UseIndexes: true, Prepared: true}
+	_, stats, err := e.ExecXQueryOpts(q, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !stats.SynopsisAnswered {
+		t.Fatal("want a synopsis answer")
+	}
+	n := testing.AllocsPerRun(50, func() {
+		if _, _, err := e.ExecXQueryOpts(q, o); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocs per untraced statement", n)
+	if n > 4 {
+		t.Errorf("untraced synopsis-answered statement allocates %.0f times, want at most 4", n)
+	}
+}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -13,28 +14,38 @@ import (
 
 // buildSeed converts one probe's node hits into evaluator seed sets:
 // per stored document, the hit ordinals plus their ancestor closure,
-// keyed by the document tree's id. A document the table no longer holds
-// contributes nothing — its tree is gone from the collection too, so
-// pruning it is consistent with the document pre-filter. nil (without
-// error) means the column cannot be resolved and seeding is skipped.
-func (e *Engine) buildSeed(g *guard.Guard, tab *storage.Table, coll string, nodes postings.NodeList) (*xquery.PathSeed, error) {
+// keyed by the document tree's id. When filtered, only hits in documents
+// of survivors are seeded — the rest leapfrog past without a row lookup
+// or an allocation. A document the table no longer holds contributes
+// nothing — its tree is gone from the collection too, so pruning it is
+// consistent with the document pre-filter. It also returns the number of
+// hits seeded. nil (without error) means the column cannot be resolved
+// and seeding is skipped.
+func (e *Engine) buildSeed(g *guard.Guard, tab *storage.Table, coll string, nodes postings.NodeList, survivors postings.List, filtered bool) (*xquery.PathSeed, int, error) {
 	dot := strings.IndexByte(coll, '.')
 	if dot < 0 {
-		return nil, nil
+		return nil, 0, nil
 	}
 	ci, err := tab.ColumnIndex(coll[dot+1:])
 	if err != nil {
-		return nil, nil
+		return nil, 0, nil
+	}
+	next := func(i int) int {
+		if filtered {
+			return nodes.NextInDocs(i, survivors)
+		}
+		return i
 	}
 	seed := &xquery.PathSeed{Hits: map[uint64][]uint32{}, Live: map[uint64][]uint32{}}
-	for i := 0; i < len(nodes); {
+	seeded := 0
+	for i := next(0); i < len(nodes); {
 		doc := postings.NodeDoc(nodes[i])
 		j := i
 		for j < len(nodes) && postings.NodeDoc(nodes[j]) == doc {
 			j++
 		}
 		if err := g.Step(); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		row, ok := tab.RowByID(doc)
 		if ok {
@@ -46,15 +57,16 @@ func (e *Engine) buildSeed(g *guard.Guard, tab *storage.Table, coll string, node
 				}
 				live, err := ancestorClosure(g, cell.Doc, hits)
 				if err != nil {
-					return nil, err
+					return nil, 0, err
 				}
 				seed.Hits[cell.Doc.TreeID] = hits
 				seed.Live[cell.Doc.TreeID] = live
+				seeded += len(hits)
 			}
 		}
-		i = j
+		i = next(j)
 	}
-	return seed, nil
+	return seed, seeded, nil
 }
 
 // ancestorClosure returns the sorted ordinals of the hits together with
@@ -78,7 +90,7 @@ func ancestorClosure(g *guard.Guard, root *xdm.Node, hits []uint32) ([]uint32, e
 			n = childToward(n, h)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return dedupOrdinals(out), nil
 }
 

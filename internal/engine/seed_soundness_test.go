@@ -151,3 +151,72 @@ func TestSeedingGatedByAnnotatedDocs(t *testing.T) {
 		t.Fatal("annotated document deleted: node seeding must return")
 	}
 }
+
+// checkCombineFirstSound runs q indexed and compares it with both
+// baselines seeding could diverge from: the full scan (UseIndexes off)
+// and the document-granular pre-filter (NoNodeSeeds). It also fails
+// unless exactly nodesSeeded hits were seeded.
+func checkCombineFirstSound(t *testing.T, e *Engine, q string, nodesSeeded int) {
+	t.Helper()
+	idx, stats, err := e.ExecXQueryOpts(q, ExecOptions{UseIndexes: true})
+	if err != nil {
+		t.Fatalf("indexed: %v", err)
+	}
+	for _, o := range []ExecOptions{{}, {UseIndexes: true, NoNodeSeeds: true}} {
+		base, _, err := e.ExecXQueryOpts(q, o)
+		if err != nil {
+			t.Fatalf("%+v: %v", o, err)
+		}
+		if xdm.SerializeSequence(base) != xdm.SerializeSequence(idx) {
+			t.Errorf("%s:\n%+v: %s\nseeded: %s", q, o, xdm.SerializeSequence(base), xdm.SerializeSequence(idx))
+		}
+	}
+	if stats.NodesSeeded != nodesSeeded {
+		t.Errorf("%s: NodesSeeded = %d, want %d (%v)", q, stats.NodesSeeded, nodesSeeded, stats.IndexesUsed)
+	}
+}
+
+const ordersColl = `db2-fn:xmlcolumn('ORDERS.ORDDOC')`
+
+// Seeds are filtered by what the resolver serves — the union across the
+// collection's occurrences — not by one occurrence's intersection. The
+// first occurrence keeps only order 0 (a price above 8 and one below 3);
+// order 2 fails it but survives through the second occurrence, so the
+// resolver hands order 2 to both bindings and its price-9 hit keeps its
+// seed. Seeded: 10 and 9 (> 8), 2 (< 3; order 1's 1 is dropped) and
+// order 2's two 4s (= 4).
+func TestSeedSurvivorsAreTheCollectionUnion(t *testing.T) {
+	e := newMultiLineitemDB(t)
+	checkCombineFirstSound(t, e, `(for $a in `+ordersColl+`/order where $a/lineitem[@price > 8] and $a/lineitem[@price < 3] return $a, `+
+		`for $b in `+ordersColl+`/order where $b/lineitem[@price = 4] return $b)`, 5)
+}
+
+// An occurrence with no probe poisons the collection: every document is
+// served, so every hit is seeded.
+func TestSeedPoisonedCollectionSeedsEveryHit(t *testing.T) {
+	e := newMultiLineitemDB(t)
+	checkCombineFirstSound(t, e, `(for $a in `+ordersColl+`/order where $a/lineitem[@price > 8] return $a, `+
+		`for $b in `+ordersColl+`/order where $b/lineitem[@price != 4] return $b/lineitem[1])`, 2)
+	checkCombineFirstSound(t, e, `(for $a in `+ordersColl+`/order where $a/lineitem[@price > 8] return $a, `+ordersColl+`/order/lineitem[1])`, 2)
+}
+
+// A conjunct the synopsis skips (no stored path under nosuch) empties its
+// occurrence, so no document survives and the other conjunct's four hits
+// seed nothing.
+func TestSeedSynopsisSkipSeedsNothing(t *testing.T) {
+	e := newMultiLineitemDB(t)
+	checkCombineFirstSound(t, e, `for $a in `+ordersColl+`/order where $a/lineitem[@price > 5] and $a/nosuch/lineitem/@price > 1 return $a`, 0)
+}
+
+// A node-scope group (bounds in one bracket intersect per node) is
+// followed by the document-level intersection with a third probe. With
+// "> 5 and > 7" the group keeps 10, 8 and 9 in all three orders; "< 3"
+// keeps orders 0 and 1, so each group member seeds 10 and 8, and the
+// third probe seeds 2 and 1. With ">= 4 and < 9" plus "> 3" the group
+// keeps 7, 8 and order 2's two 4s, and "< 3" narrows the survivors to
+// order 1: 7 and 8 per member, and 1.
+func TestSeedNodeScopeGroupThenDocIntersection(t *testing.T) {
+	e := newMultiLineitemDB(t)
+	checkCombineFirstSound(t, e, `for $a in `+ordersColl+`/order where $a/lineitem[@price > 5 and @price > 7] and $a/lineitem[@price < 3] return $a`, 6)
+	checkCombineFirstSound(t, e, `for $a in `+ordersColl+`/order where $a/lineitem[@price >= 4 and @price < 9 and @price > 3] and $a/lineitem[@price < 3] return $a`, 5)
+}

@@ -10,21 +10,22 @@ import (
 // Span is one timed step of a query's execution, offset-relative to the
 // start of the query so spans can be laid out on a single timeline.
 type Span struct {
-	// Name is the step kind: plan, probe, relprobe, eval, scan, merge.
+	// Name is the step kind: plan, probe, seed, eval, scan, merge.
 	Name string
 	// Start is the offset from the beginning of the query.
 	Start time.Duration
 	// Dur is the span's duration.
 	Dur time.Duration
 	// Note carries step detail: the probe's label and scan stats, the
-	// plan-cache state, or the shard count.
+	// hits seeded of those probed, the plan-cache state, or the shard
+	// count.
 	Note string
 }
 
 // Trace collects timed spans for one query when ExecOptions.Trace is
-// set; it is surfaced on Stats.Trace. A nil *Trace records nothing, so
-// execution code traces unconditionally and untraced queries pay only a
-// nil check — no clock reads.
+// set; it is surfaced on Stats.Trace. A nil *Trace records nothing and
+// reads no clock, and callers format a span's note only when the trace
+// is non-nil, so untraced queries pay only nil checks.
 type Trace struct {
 	begin time.Time
 	mu    sync.Mutex

@@ -103,6 +103,25 @@ func gallopNodes(l NodeList, from int, ref uint64) int {
 	return l.lowerBound(lo+1, hi, ref)
 }
 
+// NextInDocs returns the smallest index i >= from whose node lies in a
+// document of docs, or len(l) when none does. The two lists leapfrog:
+// each gallops to the other's current document, so skipping the hits of
+// documents docs lacks costs a few searches, not a pass over them.
+func (l NodeList) NextInDocs(from int, docs List) int {
+	j := 0
+	for from < len(l) {
+		d := NodeDoc(l[from])
+		if j = gallop(docs, j, d); j >= len(docs) {
+			break
+		}
+		if docs[j] == d {
+			return from
+		}
+		from = gallopNodes(l, from, PackNode(docs[j], 0))
+	}
+	return len(l)
+}
+
 // IntersectNodes returns the node references present in both lists. The
 // smaller list drives, galloping through the larger one.
 func IntersectNodes(a, b NodeList) NodeList {

@@ -124,3 +124,85 @@ func TestNodeKernelsRandomizedAgainstReference(t *testing.T) {
 		}
 	}
 }
+
+// nextInDocsLinear is NextInDocs' oracle: a linear scan with a Contains
+// test per node.
+func nextInDocsLinear(l NodeList, from int, docs List) int {
+	for i := from; i < len(l); i++ {
+		if docs.Contains(NodeDoc(l[i])) {
+			return i
+		}
+	}
+	return len(l)
+}
+
+// checkNextInDocs compares NextInDocs with the linear oracle from every
+// start index, and checks that chaining it filters l exactly as a
+// per-node Contains filter does.
+func checkNextInDocs(t *testing.T, l NodeList, docs List) {
+	t.Helper()
+	for from := 0; from <= len(l); from++ {
+		if got, want := l.NextInDocs(from, docs), nextInDocsLinear(l, from, docs); got != want {
+			t.Fatalf("NextInDocs(%d) over %v, docs %v = %d, want %d", from, l, docs, got, want)
+		}
+	}
+	var got, want NodeList
+	for i := l.NextInDocs(0, docs); i < len(l); i = l.NextInDocs(i+1, docs) {
+		got = append(got, l[i])
+	}
+	for _, x := range l {
+		if docs.Contains(NodeDoc(x)) {
+			want = append(want, x)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("chained NextInDocs over %v, docs %v kept %v, want %v", l, docs, got, want)
+	}
+}
+
+func TestNextInDocsRandomizedAgainstContains(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for iter := 0; iter < 500; iter++ {
+		span := 1 + rng.Intn(40)
+		nodes := make(NodeList, rng.Intn(120))
+		for i := range nodes {
+			nodes[i] = PackNode(uint32(rng.Intn(span)), uint32(rng.Intn(6)))
+		}
+		slices.Sort(nodes)
+		nodes = slices.Compact(nodes)
+		docs := make([]uint32, rng.Intn(span+1))
+		for i := range docs {
+			docs[i] = uint32(rng.Intn(span))
+		}
+		checkNextInDocs(t, nodes, FromUnsorted(docs))
+	}
+	// Edge cases: empty and nil survivor lists, the largest document id.
+	l := refs([2]uint32{0, 1}, [2]uint32{5, 0}, [2]uint32{1<<32 - 1, 3})
+	checkNextInDocs(t, l, nil)
+	checkNextInDocs(t, l, List{})
+	checkNextInDocs(t, l, List{1<<32 - 1})
+	checkNextInDocs(t, nil, List{1, 2})
+}
+
+// FuzzNextInDocsAgainstContains decodes two byte strings into a node list
+// (a document and an ordinal per byte pair) and a survivor document list,
+// then checks NextInDocs against the linear Contains oracle.
+func FuzzNextInDocsAgainstContains(f *testing.F) {
+	f.Add([]byte{1, 1, 1, 2, 3, 0, 9, 9}, []byte{1, 9})
+	f.Add([]byte{0, 0, 255, 255}, []byte{})
+	f.Add([]byte{}, []byte{4})
+	f.Add([]byte{2, 1, 4, 1, 6, 1, 8, 1}, []byte{3, 5, 8})
+	f.Fuzz(func(t *testing.T, nodeBytes, docBytes []byte) {
+		nodes := make(NodeList, 0, len(nodeBytes)/2)
+		for i := 0; i+1 < len(nodeBytes); i += 2 {
+			nodes = append(nodes, PackNode(uint32(nodeBytes[i])*0x01010101, uint32(nodeBytes[i+1])))
+		}
+		slices.Sort(nodes)
+		nodes = slices.Compact(nodes)
+		docs := make([]uint32, len(docBytes))
+		for i, b := range docBytes {
+			docs[i] = uint32(b) * 0x01010101
+		}
+		checkNextInDocs(t, nodes, FromUnsorted(docs))
+	})
+}

@@ -32,13 +32,13 @@ type probeCache struct {
 	entries                                *metrics.Gauge
 }
 
-// probeCacheEntry holds one probe result. DocList and NodeList are
-// projections of the same result, so a probe over given bounds and
+// probeCacheEntry holds one probe result. Hits, DocList and NodeList
+// are views of the same result, so a probe over given bounds and
 // pattern has one entry whichever of them filled it.
 type probeCacheEntry struct {
 	key     string
 	version uint64
-	res     probeResult
+	res     Hits
 }
 
 func newProbeCache() *probeCache {
@@ -76,13 +76,13 @@ func (c *probeCache) instrument(reg *metrics.Registry) {
 // get returns the live result for key if it was computed against the
 // given index version; a stale entry is dropped and counted as an
 // invalidation.
-func (c *probeCache) get(key string, version uint64) (probeResult, bool) {
+func (c *probeCache) get(key string, version uint64) (Hits, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
 		c.misses.Inc()
-		return probeResult{}, false
+		return Hits{}, false
 	}
 	ent := el.Value.(*probeCacheEntry)
 	if ent.version != version {
@@ -91,7 +91,7 @@ func (c *probeCache) get(key string, version uint64) (probeResult, bool) {
 		c.invalidations.Inc()
 		c.misses.Inc()
 		c.entries.Add(-1)
-		return probeResult{}, false
+		return Hits{}, false
 	}
 	c.order.MoveToFront(el)
 	c.hits.Inc()
@@ -100,7 +100,7 @@ func (c *probeCache) get(key string, version uint64) (probeResult, bool) {
 
 // put stores a probe result, evicting the least recently used entry past
 // capacity.
-func (c *probeCache) put(key string, version uint64, res probeResult) {
+func (c *probeCache) put(key string, version uint64, res Hits) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {

@@ -69,7 +69,7 @@ type Stats struct {
 	Entries int // live entries
 }
 
-// Index is one XML value index. Probes (NodeList, DocList) take the read
+// Index is one XML value index. Probes (Hits, NodeList, DocList) take the read
 // lock, so concurrent readers proceed in parallel; document insertion
 // and deletion take the write lock.
 type Index struct {
@@ -304,14 +304,14 @@ type Probe struct {
 	NoCache bool
 }
 
-// probeResult is what one probe names: the matching node references in
+// Hits is what one probe names: the matching node references in
 // (docID, ordinal) order, and their projection to distinct document ids —
 // the pre-filter I(P, D) of Definition 1. The projection is computed once,
 // when the result is decoded, so a cache hit hands out either view without
 // allocating. Both lists are shared with the cache and must not be mutated.
-type probeResult struct {
-	nodes postings.NodeList
-	docs  postings.List
+type Hits struct {
+	Nodes postings.NodeList
+	Docs  postings.List
 }
 
 // collector is the btree.Visitor behind every probe: it streams packed
@@ -345,17 +345,19 @@ func (c *collector) Visit(key, _ []byte) bool {
 
 func (c *collector) Check(int) error { return c.g.Check() }
 
-// probe runs one index scan request: the result, the number of B+Tree
-// keys visited (including entries the query-pattern restriction
-// rejected; 0 on a cache hit), and whether the result came from the
-// probe cache. The count is returned per probe so concurrent queries'
-// statistics stay independent.
-func (ix *Index) probe(p Probe) (probeResult, int, bool, error) {
+// Hits runs one index scan request: the result in both its views (the
+// node list and its document projection, held side by side by the decode
+// and the probe cache), the number of B+Tree keys visited (including
+// entries the query-pattern restriction rejected; 0 on a cache hit), and
+// whether the result came from the probe cache. The count is returned
+// per probe so concurrent queries' statistics stay independent. Both
+// lists are shared with the cache and must not be mutated.
+func (ix *Index) Hits(p Probe) (Hits, int, bool, error) {
 	if err := guard.Fault(ix.faultSite); err != nil {
-		return probeResult{}, 0, false, fmt.Errorf("index %s: %w", ix.Name, err)
+		return Hits{}, 0, false, fmt.Errorf("index %s: %w", ix.Name, err)
 	}
 	if err := p.Guard.Check(); err != nil {
-		return probeResult{}, 0, false, err
+		return Hits{}, 0, false, err
 	}
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -363,10 +365,10 @@ func (ix *Index) probe(p Probe) (probeResult, int, bool, error) {
 
 	lo, hi, empty, err := ix.bounds(p.Range)
 	if err != nil {
-		return probeResult{}, 0, false, err
+		return Hits{}, 0, false, err
 	}
 	if empty {
-		return probeResult{nodes: postings.NodeList{}, docs: postings.List{}}, 0, false, nil
+		return Hits{Nodes: postings.NodeList{}, Docs: postings.List{}}, 0, false, nil
 	}
 	version := ix.version.Load()
 	var key string
@@ -383,14 +385,14 @@ func (ix *Index) probe(p Probe) (probeResult, int, bool, error) {
 	visited, err := ix.tree.ScanVisit(lo, hi, &c)
 	ix.mKeys.Add(int64(visited))
 	if err != nil {
-		return probeResult{}, visited, false, err
+		return Hits{}, visited, false, err
 	}
 	ix.mNodes.Add(int64(len(c.nodes)))
 	// Each (value, path) key run emits strictly ascending packed refs —
 	// a node is indexed once per (value, path), so within a run there are
 	// no duplicates and NodesFromRuns merges the run restarts.
 	nodes := postings.NodesFromRuns(c.nodes)
-	res := probeResult{nodes: nodes, docs: nodes.Docs()}
+	res := Hits{Nodes: nodes, Docs: nodes.Docs()}
 	if !p.NoCache {
 		// Version and scan both ran under the index read lock, so no
 		// insert or delete can have interleaved: the cached result is
@@ -407,8 +409,8 @@ func (ix *Index) probe(p Probe) (probeResult, int, bool, error) {
 // result came from the probe cache (visited is 0 on a hit). The returned
 // list is shared with the cache and must not be mutated.
 func (ix *Index) NodeList(p Probe) (postings.NodeList, int, bool, error) {
-	res, visited, cached, err := ix.probe(p)
-	return res.nodes, visited, cached, err
+	res, visited, cached, err := ix.Hits(p)
+	return res.Nodes, visited, cached, err
 }
 
 // DocList runs a probe and returns the distinct matching document ids as
@@ -418,8 +420,8 @@ func (ix *Index) NodeList(p Probe) (postings.NodeList, int, bool, error) {
 // (visited is 0 on a hit). The returned list is shared with the cache
 // and must not be mutated.
 func (ix *Index) DocList(p Probe) (postings.List, int, bool, error) {
-	res, visited, cached, err := ix.probe(p)
-	return res.docs, visited, cached, err
+	res, visited, cached, err := ix.Hits(p)
+	return res.Docs, visited, cached, err
 }
 
 // ProbeCached reports whether the probe's result is currently served
