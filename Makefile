@@ -70,7 +70,8 @@ loadtest:
 
 # Short fuzz burns over the parser entry points, the path-step
 # differential, the containment kernel against its map-based reference,
-# the seed survivor filter against a linear Contains filter and the
+# the seed survivor filter against a linear Contains filter, the
+# posting-list kernels against their reference bodies and the
 # index/synopsis agreement check; failures become
 # seed corpus regressions under testdata/fuzz/.
 FUZZTIME ?= 15s
@@ -81,6 +82,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPathStepOrder -fuzztime=$(FUZZTIME) ./internal/xquery
 	$(GO) test -run='^$$' -fuzz=FuzzContainsAgainstReference -fuzztime=$(FUZZTIME) ./internal/pattern
 	$(GO) test -run='^$$' -fuzz=FuzzNextInDocsAgainstContains -fuzztime=$(FUZZTIME) ./internal/postings
+	$(GO) test -run='^$$' -fuzz=FuzzKernelsAgainstReference -fuzztime=$(FUZZTIME) ./internal/postings
 	$(GO) test -run='^$$' -fuzz=FuzzIndexSynopsisAgree -fuzztime=$(FUZZTIME) ./internal/xmlindex
 
 # loc prints the line counts a change reports: non-test Go outside bench/

@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"github.com/xqdb/xqdb"
+	"github.com/xqdb/xqdb/internal/sqlxml"
 )
 
 // shellOpts is the shell's per-session display and guardrail state.
@@ -169,7 +170,6 @@ func runStatementTo(w io.Writer, db *xqdb.DB, stmt string, opts shellOpts) {
 }
 
 func runStatementCtx(w io.Writer, db *xqdb.DB, ctx context.Context, stmt string, opts shellOpts) {
-	first := strings.ToLower(strings.Fields(stmt)[0])
 	qopts := xqdb.QueryOptions{Context: ctx, Trace: opts.trace}
 	if opts.slow > 0 {
 		qopts.SlowThreshold = opts.slow
@@ -182,10 +182,9 @@ func runStatementCtx(w io.Writer, db *xqdb.DB, ctx context.Context, stmt string,
 		stats *xqdb.Stats
 		err   error
 	)
-	switch first {
-	case "create", "insert", "select", "values", "drop", "delete", "explain":
+	if isSQL, _ := sqlxml.Sniff(stmt); isSQL {
 		res, stats, err = db.ExecSQLOpts(stmt, qopts)
-	default:
+	} else {
 		res, stats, err = db.QueryXQueryOpts(stmt, qopts)
 	}
 	var qe *xqdb.QueryError

@@ -836,10 +836,10 @@ func (e *Engine) applyRelProbes(a *core.Analysis, rowSets map[int]postings.List,
 			if err != nil {
 				break // value does not cast to the column type
 			}
-			// Lookup returns a fresh slice, already ascending for an
+			// Lookup returns a fresh slice, strictly ascending for an
 			// equality probe (fixed value prefix, big-endian row-id
-			// suffix); FromUnsorted just validates that.
-			set := postings.FromUnsorted(ids)
+			// suffix): one run, which FromRuns returns as-is.
+			set := postings.FromRuns(ids)
 			stats.IndexesUsed = append(stats.IndexesUsed,
 				fmt.Sprintf("%s(%s.%s = %s)", ri.Name, rp.Table, rp.Column, rp.Value.Lexical()))
 			stats.Probes++

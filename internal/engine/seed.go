@@ -91,20 +91,9 @@ func ancestorClosure(g *guard.Guard, root *xdm.Node, hits []uint32) ([]uint32, e
 		}
 	}
 	slices.Sort(out)
-	return dedupOrdinals(out), nil
-}
-
-// dedupOrdinals compacts a sorted ordinal slice in place. Root paths of
-// nearby hits share ancestors, so duplicates are the common case.
-func dedupOrdinals(s []uint32) []uint32 {
-	w := 0
-	for i, o := range s {
-		if i == 0 || o != s[w-1] {
-			s[w] = o
-			w++
-		}
-	}
-	return s[:w]
+	// Root paths of nearby hits share ancestors, so duplicates are the
+	// common case.
+	return slices.Compact(out), nil
 }
 
 // childToward returns the child of n whose subtree holds preorder

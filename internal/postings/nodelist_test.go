@@ -31,34 +31,6 @@ func TestPackNodeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestNodesFromRuns(t *testing.T) {
-	// Single sorted run: returned as-is, no copy.
-	in := refs([2]uint32{1, 2}, [2]uint32{1, 5}, [2]uint32{3, 1})
-	got := NodesFromRuns(in)
-	if &got[0] != &in[0] {
-		t.Fatal("single-run input must be returned without copying")
-	}
-	// Two runs merge; three or more sort. Either way the result is
-	// strictly ascending and deduplicated.
-	two := NodeList{PackNode(1, 1), PackNode(4, 2), PackNode(2, 3), PackNode(5, 1)}
-	three := NodeList{PackNode(4, 1), PackNode(1, 1), PackNode(3, 3), PackNode(2, 2), PackNode(2, 9)}
-	for _, in := range []NodeList{two, three} {
-		got := NodesFromRuns(slices.Clone(in))
-		if !slices.IsSorted(got) {
-			t.Fatalf("NodesFromRuns(%v) = %v, not sorted", in, got)
-		}
-		want := slices.Clone(in)
-		slices.Sort(want)
-		want = slices.Compact(want)
-		if !slices.Equal([]uint64(got), want) {
-			t.Fatalf("NodesFromRuns(%v) = %v, want %v", in, got, want)
-		}
-	}
-	if got := NodesFromRuns(nil); got == nil || len(got) != 0 {
-		t.Fatal("empty input must yield a non-nil empty list")
-	}
-}
-
 func TestIntersectNodes(t *testing.T) {
 	a := refs([2]uint32{1, 1}, [2]uint32{1, 4}, [2]uint32{2, 2}, [2]uint32{9, 9})
 	b := refs([2]uint32{1, 4}, [2]uint32{2, 2}, [2]uint32{2, 3}, [2]uint32{9, 9})
@@ -78,58 +50,17 @@ func TestDocsProjection(t *testing.T) {
 	}
 }
 
-// The node kernels agree with a reference map implementation on random
-// inputs — same property the List kernels are trusted for.
-func TestNodeKernelsRandomizedAgainstReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	randList := func() NodeList {
-		n := rng.Intn(200)
-		set := make(map[uint64]bool, n)
-		for i := 0; i < n; i++ {
-			set[PackNode(uint32(rng.Intn(20)), uint32(rng.Intn(50)))] = true
-		}
-		out := make(NodeList, 0, len(set))
-		for r := range set {
-			out = append(out, r)
-		}
-		slices.Sort(out)
-		return out
-	}
-	for iter := 0; iter < 200; iter++ {
-		a, b := randList(), randList()
-		ref := make(map[uint64]bool)
-		for _, x := range a {
-			if b.Contains(x) {
-				ref[x] = true
-			}
-		}
-		got := IntersectNodes(a, b)
-		if len(got) != len(ref) {
-			t.Fatalf("iter %d: intersect size %d, want %d", iter, len(got), len(ref))
-		}
-		for _, x := range got {
-			if !ref[x] {
-				t.Fatalf("iter %d: intersect emitted %d not in reference", iter, x)
-			}
-		}
-		union := unionNodes2(a, b)
-		refU := make(map[uint64]bool)
-		for _, l := range []NodeList{a, b} {
-			for _, x := range l {
-				refU[x] = true
-			}
-		}
-		if len(union) != len(refU) || !slices.IsSorted(union) {
-			t.Fatalf("iter %d: union size %d (sorted=%v), want %d", iter, len(union), slices.IsSorted(union), len(refU))
-		}
-	}
+// nextInDocsLinear is NextInDocs' oracle: a linear scan with a
+// membership test per node.
+// contains reports whether x is in the sorted set l.
+func contains[E elem](l []E, x E) bool {
+	_, ok := slices.BinarySearch(l, x)
+	return ok
 }
 
-// nextInDocsLinear is NextInDocs' oracle: a linear scan with a Contains
-// test per node.
 func nextInDocsLinear(l NodeList, from int, docs List) int {
 	for i := from; i < len(l); i++ {
-		if docs.Contains(NodeDoc(l[i])) {
+		if contains(docs, NodeDoc(l[i])) {
 			return i
 		}
 	}
@@ -138,7 +69,7 @@ func nextInDocsLinear(l NodeList, from int, docs List) int {
 
 // checkNextInDocs compares NextInDocs with the linear oracle from every
 // start index, and checks that chaining it filters l exactly as a
-// per-node Contains filter does.
+// per-node membership filter does.
 func checkNextInDocs(t *testing.T, l NodeList, docs List) {
 	t.Helper()
 	for from := 0; from <= len(l); from++ {
@@ -151,7 +82,7 @@ func checkNextInDocs(t *testing.T, l NodeList, docs List) {
 		got = append(got, l[i])
 	}
 	for _, x := range l {
-		if docs.Contains(NodeDoc(x)) {
+		if contains(docs, NodeDoc(x)) {
 			want = append(want, x)
 		}
 	}
@@ -170,11 +101,11 @@ func TestNextInDocsRandomizedAgainstContains(t *testing.T) {
 		}
 		slices.Sort(nodes)
 		nodes = slices.Compact(nodes)
-		docs := make([]uint32, rng.Intn(span+1))
+		docs := make(List, rng.Intn(span+1))
 		for i := range docs {
 			docs[i] = uint32(rng.Intn(span))
 		}
-		checkNextInDocs(t, nodes, FromUnsorted(docs))
+		checkNextInDocs(t, nodes, set(docs))
 	}
 	// Edge cases: empty and nil survivor lists, the largest document id.
 	l := refs([2]uint32{0, 1}, [2]uint32{5, 0}, [2]uint32{1<<32 - 1, 3})
@@ -186,7 +117,7 @@ func TestNextInDocsRandomizedAgainstContains(t *testing.T) {
 
 // FuzzNextInDocsAgainstContains decodes two byte strings into a node list
 // (a document and an ordinal per byte pair) and a survivor document list,
-// then checks NextInDocs against the linear Contains oracle.
+// then checks NextInDocs against the linear membership oracle.
 func FuzzNextInDocsAgainstContains(f *testing.F) {
 	f.Add([]byte{1, 1, 1, 2, 3, 0, 9, 9}, []byte{1, 9})
 	f.Add([]byte{0, 0, 255, 255}, []byte{})
@@ -199,10 +130,10 @@ func FuzzNextInDocsAgainstContains(f *testing.F) {
 		}
 		slices.Sort(nodes)
 		nodes = slices.Compact(nodes)
-		docs := make([]uint32, len(docBytes))
+		docs := make(List, len(docBytes))
 		for i, b := range docBytes {
 			docs[i] = uint32(b) * 0x01010101
 		}
-		checkNextInDocs(t, nodes, FromUnsorted(docs))
+		checkNextInDocs(t, nodes, set(docs))
 	})
 }

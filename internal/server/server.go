@@ -35,6 +35,7 @@ import (
 	"github.com/xqdb/xqdb/internal/guard"
 	"github.com/xqdb/xqdb/internal/metrics"
 	"github.com/xqdb/xqdb/internal/server/admission"
+	"github.com/xqdb/xqdb/internal/sqlxml"
 )
 
 // Config assembles a Server. DB is required; everything else defaults.
@@ -330,7 +331,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // one-shot writes (DDL, INSERT) execute unprepared so their unique
 // texts do not churn the LRU.
 func (s *Server) execute(req QueryRequest, opts xqdb.QueryOptions) (*xqdb.Result, *xqdb.Stats, error) {
-	isSQL, preparable := sqlHead(req.Query)
+	isSQL, preparable := sqlxml.Sniff(req.Query)
 	lang := strings.ToLower(req.Language)
 	if lang == "" {
 		lang = "xquery"
@@ -340,7 +341,9 @@ func (s *Server) execute(req QueryRequest, opts xqdb.QueryOptions) (*xqdb.Result
 	}
 	switch lang {
 	case "sql":
-		if req.NoPrepare || !preparable {
+		// A statement named as SQL whose head Sniff does not know stays
+		// preparable.
+		if req.NoPrepare || isSQL && !preparable {
 			return s.db.ExecSQLOpts(req.Query, opts)
 		}
 		stmt, err := s.db.Prepare(req.Query)
@@ -360,24 +363,6 @@ func (s *Server) execute(req QueryRequest, opts xqdb.QueryOptions) (*xqdb.Result
 	default:
 		return nil, nil, fmt.Errorf("unknown language %q (want \"sql\" or \"xquery\")", req.Language)
 	}
-}
-
-// sqlHeads maps each keyword that starts a SQL/XML statement to
-// whether caching the statement's plan pays off: reads repeat, writes
-// and DDL are one-shot and would only occupy a plan-cache slot.
-var sqlHeads = map[string]bool{
-	"select": true, "values": true, "explain": true,
-	"create": false, "drop": false, "insert": false, "delete": false,
-}
-
-// sqlHead classifies a statement by its first keyword: whether it is
-// SQL/XML (anything else is treated as XQuery when the request names no
-// language) and whether to run it through a prepared plan. A statement
-// named as SQL whose head the table does not know stays preparable.
-func sqlHead(q string) (isSQL, preparable bool) {
-	head, _, _ := strings.Cut(strings.TrimSpace(q), " ")
-	preparable, isSQL = sqlHeads[strings.ToLower(head)]
-	return isSQL, preparable || !isSQL
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {

@@ -336,6 +336,35 @@ func TestDeleteIsOneShotSQL(t *testing.T) {
 	}
 }
 
+// Regression: a request naming no language was sniffed as SQL only when
+// a space followed the first keyword, so a newline, tab or CRLF sent the
+// statement to the XQuery parser and a 400.
+func TestSniffSplitsOnAnyWhitespace(t *testing.T) {
+	s := New(Config{DB: loadedDB(t, 3)})
+	for _, q := range []string{
+		"SELECT\n  ordid FROM orders",
+		"select\tordid from orders",
+		"Select\r\nordid\r\nfrom orders",
+		"\n\tselect\nordid from orders",
+	} {
+		w := post(t, s, "/query", QueryRequest{Query: q})
+		if w.Code != http.StatusOK {
+			t.Fatalf("%q: status = %d: %s", q, w.Code, w.Body.String())
+		}
+		if rows := len(decode[QueryResponse](t, w).Rows); rows != 3 {
+			t.Fatalf("%q: rows = %d, want 3", q, rows)
+		}
+	}
+	// A write split the same way is still one-shot: no plan-cache slot.
+	before := planCacheSize(t, s)
+	if w := post(t, s, "/query", QueryRequest{Query: "DELETE\r\nFROM orders\tWHERE ordid = 0"}); w.Code != http.StatusOK {
+		t.Fatalf("delete: status = %d: %s", w.Code, w.Body.String())
+	}
+	if after := planCacheSize(t, s); after != before {
+		t.Fatalf("plancache.size grew from %d to %d on a one-shot delete", before, after)
+	}
+}
+
 func TestHealthEndpoint(t *testing.T) {
 	s := New(Config{DB: loadedDB(t, 2)})
 	req := httptest.NewRequest(http.MethodGet, "/healthz", nil)

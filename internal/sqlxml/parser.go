@@ -3,6 +3,7 @@ package sqlxml
 import (
 	"strconv"
 	"strings"
+	"unicode"
 
 	"github.com/xqdb/xqdb/internal/storage"
 	"github.com/xqdb/xqdb/internal/xdm"
@@ -35,6 +36,28 @@ func Parse(src string) (Statement, error) {
 		return nil, p.errf("unexpected %q after statement", p.tok.value)
 	}
 	return stmt, nil
+}
+
+// statementHeads maps each keyword that starts a statement
+// parseStatement accepts to whether caching the statement's plan pays
+// off: reads repeat, writes and DDL are one-shot and would only occupy
+// a plan-cache slot.
+var statementHeads = map[string]bool{
+	"select": true, "values": true, "explain": true,
+	"create": false, "drop": false, "insert": false, "delete": false,
+}
+
+// Sniff classifies a statement by its first keyword, which any
+// whitespace ends: whether it is SQL/XML (callers that sniff the
+// language treat anything else as XQuery), and whether its plan is
+// worth caching.
+func Sniff(src string) (isSQL, preparable bool) {
+	head := strings.TrimLeftFunc(src, unicode.IsSpace)
+	if i := strings.IndexFunc(head, unicode.IsSpace); i >= 0 {
+		head = head[:i]
+	}
+	preparable, isSQL = statementHeads[strings.ToLower(head)]
+	return isSQL, preparable
 }
 
 func (p *sqlParser) errf(format string, args ...any) error {

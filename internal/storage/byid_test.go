@@ -21,7 +21,7 @@ import (
 func scanFiltered(tab *Table, ci int, allowed postings.List) []*xdm.Node {
 	var docs []*xdm.Node
 	for _, row := range tab.Rows() {
-		if !allowed.Contains(row.ID) {
+		if _, ok := slices.BinarySearch(allowed, row.ID); !ok {
 			continue
 		}
 		if cell := row.Cells[ci]; !cell.Null && cell.Doc != nil {
@@ -122,7 +122,7 @@ func TestByIDAccessPreservesRowOrder(t *testing.T) {
 		}
 		var want []Row
 		for _, row := range tab.Rows() {
-			if allowed.Contains(row.ID) {
+			if _, ok := slices.BinarySearch(allowed, row.ID); ok {
 				want = append(want, row)
 			}
 		}

@@ -169,7 +169,7 @@ func TestProbeCacheHitAndInvalidation(t *testing.T) {
 	if cached {
 		t.Fatal("post-insert probe must rescan")
 	}
-	if !after.Contains(3) {
+	if _, ok := slices.BinarySearch(after, 3); !ok {
 		t.Fatalf("rescan missed the new document: %v", after)
 	}
 

@@ -1,6 +1,8 @@
 package xquery
 
 import (
+	"slices"
+
 	"github.com/xqdb/xqdb/internal/guard"
 	"github.com/xqdb/xqdb/internal/xdm"
 )
@@ -28,19 +30,6 @@ type PathSeed struct {
 	Live map[uint64][]uint32
 }
 
-func ordContains(set []uint32, ord uint32) bool {
-	lo, hi := 0, len(set)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if set[mid] < ord {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(set) && set[lo] == ord
-}
-
 // keep reports whether node n survives the seed filter: membership in
 // Hits when final, in Live otherwise.
 func (s *PathSeed) keep(n *xdm.Node, final bool) bool {
@@ -48,7 +37,8 @@ func (s *PathSeed) keep(n *xdm.Node, final bool) bool {
 	if final {
 		sets = s.Hits
 	}
-	return ordContains(sets[n.TreeID], n.Ordinal)
+	_, ok := slices.BinarySearch(sets[n.TreeID], n.Ordinal)
+	return ok
 }
 
 // filter prunes a step's output against the seed. Non-node items pass

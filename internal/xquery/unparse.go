@@ -283,7 +283,9 @@ func unparsePath(b *strings.Builder, p *PathExpr) {
 		}
 	}
 	if p.Rooted && len(p.Steps) == 0 {
-		b.WriteString("/")
+		// A lone "/" followed by a name ("/ union 0") would parse as a
+		// rooted step; parenthesized, it stays the root in any position.
+		b.WriteString("(/)")
 	}
 }
 
