@@ -68,18 +68,22 @@ loadtest:
 	kill -TERM $$pid; wait $$pid; \
 	grep -q 'drain:' loadtest-server.log
 
-# Short fuzz burns over the parser entry points, the path-step
-# differential, the containment kernel against its map-based reference,
-# the seed survivor filter against a linear Contains filter, the
-# posting-list kernels against their reference bodies and the
-# index/synopsis agreement check; failures become
-# seed corpus regressions under testdata/fuzz/.
+# Short fuzz burns over the parser entry points (the XML parser's depth
+# limit and its reader/string differential included, and the XMLPATTERN
+# parser's round trip), the path-step differential, the containment
+# kernel against its map-based reference, the seed survivor filter
+# against a linear Contains filter, the posting-list kernels against
+# their reference bodies and the index/synopsis agreement check;
+# failures become seed corpus regressions under testdata/fuzz/.
 FUZZTIME ?= 15s
 
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParseDoc -fuzztime=$(FUZZTIME) ./internal/xmlparse
+	$(GO) test -run='^$$' -fuzz=FuzzParseDepthLimit -fuzztime=$(FUZZTIME) ./internal/xmlparse
+	$(GO) test -run='^$$' -fuzz=FuzzParseReaderDifferential -fuzztime=$(FUZZTIME) ./internal/xmlparse
 	$(GO) test -run='^$$' -fuzz=FuzzXQueryParse -fuzztime=$(FUZZTIME) ./internal/xquery
 	$(GO) test -run='^$$' -fuzz=FuzzPathStepOrder -fuzztime=$(FUZZTIME) ./internal/xquery
+	$(GO) test -run='^$$' -fuzz=FuzzPatternParse -fuzztime=$(FUZZTIME) ./internal/pattern
 	$(GO) test -run='^$$' -fuzz=FuzzContainsAgainstReference -fuzztime=$(FUZZTIME) ./internal/pattern
 	$(GO) test -run='^$$' -fuzz=FuzzNextInDocsAgainstContains -fuzztime=$(FUZZTIME) ./internal/postings
 	$(GO) test -run='^$$' -fuzz=FuzzKernelsAgainstReference -fuzztime=$(FUZZTIME) ./internal/postings

@@ -17,7 +17,6 @@ import (
 
 	"github.com/xqdb/xqdb/internal/engine"
 	"github.com/xqdb/xqdb/internal/workload"
-	"github.com/xqdb/xqdb/internal/xdm"
 )
 
 // Table is one experiment's output.
@@ -272,12 +271,6 @@ func speedup(full, idx time.Duration) string {
 
 // runHeaders is the standard header row for compareRuns tables.
 var runHeaders = []string{"query", "index", "rows", "docs scanned", "full scan", "indexed", "speedup", "equiv"}
-
-// serialize compares result sequences across runs (used where row counts
-// alone are not convincing).
-func sameResults(a, b xdm.Sequence) bool {
-	return xdm.SerializeSequence(a) == xdm.SerializeSequence(b)
-}
 
 // sortRows orders rows by first column for stable output.
 func sortRows(rows [][]string) {

@@ -22,7 +22,6 @@ import (
 	"github.com/xqdb/xqdb/internal/guard"
 	"github.com/xqdb/xqdb/internal/metrics"
 	"github.com/xqdb/xqdb/internal/storage"
-	"github.com/xqdb/xqdb/internal/synopsis"
 	"github.com/xqdb/xqdb/internal/xdm"
 	"github.com/xqdb/xqdb/internal/xmlindex"
 	"github.com/xqdb/xqdb/internal/xmlparse"
@@ -121,7 +120,6 @@ func LoadDir(tab *storage.Table, dir string, opts Options) (int, error) {
 	rows := make([]storage.Row, len(names))
 	jobs := make(chan int, workers)
 	runs := make(map[*xmlindex.Index][][][]byte, len(xis))
-	var synBatches []*synopsis.Batch
 	var runsMu sync.Mutex
 
 	var wg sync.WaitGroup
@@ -134,7 +132,6 @@ func LoadDir(tab *storage.Table, dir string, opts Options) (int, error) {
 			for i, xi := range xis {
 				exts[i] = xi.Index.NewExtractor()
 			}
-			sb := synopsis.NewBatch()
 			for i := range jobs {
 				if failed() {
 					continue
@@ -156,7 +153,6 @@ func LoadDir(tab *storage.Table, dir string, opts Options) (int, error) {
 						break
 					}
 				}
-				sb.AddDoc(doc)
 				mIndexNS.Add(time.Since(t0).Nanoseconds())
 				rows[i] = storage.Row{ID: id, Cells: []storage.Cell{
 					{V: xdm.NewInteger(int64(i))}, {Doc: doc},
@@ -166,8 +162,8 @@ func LoadDir(tab *storage.Table, dir string, opts Options) (int, error) {
 			if failed() {
 				return
 			}
-			// Finalize this worker's extractors into sorted runs. Run()
-			// locks the index briefly; do it outside runsMu.
+			// Finalize this worker's extractors into sorted runs (Run
+			// only sorts) outside runsMu.
 			for i, e := range exts {
 				if e.Len() == 0 {
 					continue
@@ -175,11 +171,6 @@ func LoadDir(tab *storage.Table, dir string, opts Options) (int, error) {
 				run := e.Run()
 				runsMu.Lock()
 				runs[xis[i].Index] = append(runs[xis[i].Index], run)
-				runsMu.Unlock()
-			}
-			if sb.Len() > 0 {
-				runsMu.Lock()
-				synBatches = append(synBatches, sb)
 				runsMu.Unlock()
 			}
 		}()
@@ -222,7 +213,7 @@ func LoadDir(tab *storage.Table, dir string, opts Options) (int, error) {
 	}
 	t0 := time.Now()
 	check := func(int) error { return opts.Guard.Check() }
-	if err := tab.BulkAppend(rows, runs, map[int][]*synopsis.Batch{1: synBatches}, check); err != nil {
+	if err := tab.BulkAppend(rows, runs, nil, check); err != nil {
 		return 0, err
 	}
 	mIndexNS.Add(time.Since(t0).Nanoseconds())

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/xqdb/xqdb/internal/pattern"
 	"github.com/xqdb/xqdb/internal/storage"
 	"github.com/xqdb/xqdb/internal/synopsis"
 	"github.com/xqdb/xqdb/internal/xmlparse"
@@ -13,7 +14,7 @@ import (
 // rebuildSynopsis walks the table's rows and builds a fresh synopsis for
 // the XML column — the ground truth incremental maintenance must match.
 func rebuildSynopsis(tab *storage.Table) *synopsis.Synopsis {
-	s := synopsis.New()
+	s := synopsis.New(pattern.NewDict())
 	tab.ForEachRow(func(r *storage.Row) bool {
 		if cell := r.Cells[1]; !cell.Null && cell.Doc != nil {
 			s.AddDoc(cell.Doc)

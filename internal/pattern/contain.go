@@ -42,9 +42,11 @@ func FromSteps(steps []Step) (*Pattern, error) {
 		case PITest:
 			b.WriteString("processing-instruction(" + s.PITarget + ")")
 		default:
+			// {uri}name is Clark notation; {}* is the no-namespace
+			// wildcard, which a bare * (any namespace) would widen.
 			if s.Space == "*" && s.Local != "*" {
 				b.WriteString("*:")
-			} else if s.Space != "" && s.Space != "*" {
+			} else if s.Space != "*" && (s.Space != "" || s.Local == "*") {
 				b.WriteString("{" + s.Space + "}")
 			}
 			b.WriteString(s.Local)

@@ -1,6 +1,7 @@
 package pattern
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -314,4 +315,51 @@ func TestFromSteps(t *testing.T) {
 	if !Contains(ref, p) || !Contains(p, ref) {
 		t.Error("FromSteps pattern should be equivalent to parsed form")
 	}
+}
+
+// FuzzPatternParse holds every pattern the parser accepts to containment
+// with itself: P contains P, its Source reparses to a pattern equivalent
+// to P (each contains the other), and so does the rendering of its steps
+// (FromSteps) whenever that names no namespace — the rendering writes a
+// namespace as {uri}, which is not XMLPATTERN surface syntax.
+func FuzzPatternParse(f *testing.F) {
+	for _, seed := range []string{
+		"//lineitem/@price",
+		"/order//lineitem/text()",
+		`declare namespace x="urn:x"; declare default element namespace "urn:d"; /a/x:b/@x:c`,
+		"//*:b/x",
+		"/a/self::node()/descendant-or-self::b/comment()",
+		"//processing-instruction(audit)",
+		"/a/descendant::*/attribute::*",
+		"//node()",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		p, err := Parse(src)
+		if err != nil {
+			return
+		}
+		if !Contains(p, p) {
+			t.Fatalf("%q does not contain itself", src)
+		}
+		equivalent := func(what, text string) {
+			q, err := Parse(text)
+			if err != nil {
+				t.Fatalf("%s %q of %q does not parse: %v", what, text, src, err)
+			}
+			if !Contains(p, q) || !Contains(q, p) {
+				t.Fatalf("%s %q of %q is not equivalent: P contains it %v, it contains P %v",
+					what, text, src, Contains(p, q), Contains(q, p))
+			}
+		}
+		equivalent("source", p.Source)
+		r, err := FromSteps(p.Steps)
+		if err != nil {
+			t.Fatalf("FromSteps of %q: %v", src, err)
+		}
+		if !strings.Contains(r.Source, "{") {
+			equivalent("rendering", r.Source)
+		}
+	})
 }

@@ -1,6 +1,11 @@
 package pattern
 
-import "github.com/xqdb/xqdb/internal/xdm"
+import (
+	"slices"
+	"sync"
+
+	"github.com/xqdb/xqdb/internal/xdm"
+)
 
 // Walker enumerates a document's nodes with their rooted label paths. It
 // is the one walk behind index maintenance, bulk index extraction and
@@ -12,6 +17,8 @@ import "github.com/xqdb/xqdb/internal/xdm"
 type Walker struct {
 	labels []Label
 	key    []byte
+	nodes  []*xdm.Node // Dict.IDs results
+	ids    []uint32
 }
 
 // Walk visits every node of doc below the document node: each node, then
@@ -75,4 +82,71 @@ func (w *Walker) push(n *xdm.Node) int {
 func (w *Walker) pop(mark int) {
 	w.key = w.key[:mark]
 	w.labels = w.labels[:len(w.labels)-1]
+}
+
+// Dict is the path dictionary of one XML column: an append-only map from
+// each distinct rooted label path in the column to a dense path ID, by
+// which every XML index key and the path synopsis name paths. An ID
+// never changes meaning. Safe for concurrent use; its lock is a leaf: no
+// code holds it while taking another lock.
+type Dict struct {
+	mu    sync.RWMutex
+	ids   map[string]uint32 // path key -> ID
+	paths [][]Label         // by ID
+}
+
+// NewDict returns an empty dictionary.
+func NewDict() *Dict { return &Dict{ids: map[string]uint32{}} }
+
+// IDs walks doc in Walker.Walk's order and returns every node with its
+// path ID, interning the paths the dictionary has not seen, and the
+// dictionary's paths, which cover every returned ID. It takes the read
+// lock once per document, trading it at the first unseen path for the
+// write lock, which it keeps to the end of the document. The node and ID
+// slices are w's buffers, valid until w walks again.
+func (d *Dict) IDs(w *Walker, doc *xdm.Node) (nodes []*xdm.Node, ids []uint32, paths [][]Label) {
+	nodes, ids = w.nodes[:0], w.ids[:0]
+	write := false
+	d.mu.RLock()
+	defer func() {
+		if write {
+			d.mu.Unlock()
+		} else {
+			d.mu.RUnlock()
+		}
+	}()
+	w.Walk(doc, func(n *xdm.Node, labels []Label, key []byte) {
+		id, ok := d.ids[string(key)]
+		if !ok {
+			if !write {
+				d.mu.RUnlock()
+				d.mu.Lock()
+				write = true
+			}
+			id = d.add(labels, string(key))
+		}
+		nodes, ids = append(nodes, n), append(ids, id)
+	})
+	w.nodes, w.ids = nodes, ids
+	return nodes, ids, d.paths
+}
+
+// add interns a path under the write lock. Another walk may have added
+// it since this one last looked.
+func (d *Dict) add(labels []Label, key string) uint32 {
+	if id, ok := d.ids[key]; ok {
+		return id
+	}
+	id := uint32(len(d.paths))
+	d.paths = append(d.paths, slices.Clone(labels))
+	d.ids[key] = id
+	return id
+}
+
+// Paths returns the label path of every ID interned so far, indexed by
+// ID. It stays valid as the dictionary grows and must not be modified.
+func (d *Dict) Paths() [][]Label {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.paths
 }

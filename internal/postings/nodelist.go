@@ -23,9 +23,8 @@ func NodeOrd(ref uint64) uint32 { return uint32(ref) }
 // NodesFromRuns builds a NodeList from a concatenation of strictly
 // ascending runs — the shape a composite-key B+Tree scan emits: within
 // each (value, path) key run the (docID, ordinal) suffix ascends, and
-// restarts at run boundaries. It decodes exactly as FromRuns does. The
-// input slice is taken over and must not be reused by the caller;
-// adjacent elements must not be equal.
+// restarts at run boundaries. It decodes exactly as FromRuns does, with
+// the same contract on the input slice.
 func NodesFromRuns(refs []uint64) NodeList { return fromRuns(NodeList(refs)) }
 
 // IntersectNodes returns the node references present in both lists.
@@ -53,7 +52,13 @@ func (l NodeList) NextInDocs(from int, docs List) int {
 // Docs projects the node list to its distinct document ids, preserving
 // order. The doc-granular view of a node-granular probe result.
 func (l NodeList) Docs() List {
-	out := make(List, 0, min(len(l), 64))
+	docs := 0 // distinct documents: the projection is allocated once
+	for i := 0; i < len(l); i++ {
+		if i == 0 || NodeDoc(l[i]) != NodeDoc(l[i-1]) {
+			docs++
+		}
+	}
+	out := make(List, 0, docs)
 	for i := 0; i < len(l); i++ {
 		d := NodeDoc(l[i])
 		if n := len(out); n == 0 || out[n-1] != d {

@@ -30,9 +30,10 @@ type elem interface{ ~uint32 | ~uint64 }
 
 // FromRuns builds a List from a concatenation of strictly ascending
 // runs — the shape a composite-key B+Tree scan emits: ids ascend within
-// each (value, path) run and restart at run boundaries. The input slice
-// is taken over and must not be reused by the caller; adjacent elements
-// must not be equal.
+// each (value, path) run and restart at run boundaries. The decoder
+// sorts inside the input slice and its spare capacity, and the result
+// may share them: the caller must leave both alone while it uses the
+// result. Adjacent elements must not be equal.
 func FromRuns(ids []uint32) List { return fromRuns(List(ids)) }
 
 // Intersect returns the ids present in both lists.
@@ -69,7 +70,9 @@ func fromRuns[S ~[]E, E elem](s S) S {
 // longer ones an LSD radix sort whose counting passes over bytes beat
 // n log n branchy compares. A byte that is the same in every element —
 // the high bytes of a small doc-id space, of short documents' ordinals —
-// would sort as the identity, so its pass is skipped.
+// would sort as the identity, so its pass is skipped. The scratch the
+// passes alternate with is s's spare capacity when that holds a copy of
+// s, so a caller that keeps its buffer sorts without allocating.
 func radixSort[E elem](s []E) {
 	if len(s) < 64 {
 		slices.Sort(s)
@@ -82,8 +85,11 @@ func radixSort[E elem](s []E) {
 	if diff == 0 {
 		return
 	}
-	buf := make([]E, len(s))
-	src, dst := s, buf
+	buf := s[len(s):cap(s)]
+	if len(buf) < len(s) {
+		buf = make([]E, len(s))
+	}
+	src, dst := s, buf[:len(s)]
 	for shift := 0; diff>>shift != 0; shift += 8 {
 		if byte(diff>>shift) == 0 {
 			continue

@@ -73,16 +73,6 @@ func (p *sqlParser) advance() error {
 	return nil
 }
 
-func (p *sqlParser) peek() sqlToken {
-	save := p.lx.pos
-	t, err := p.lx.next()
-	p.lx.pos = save
-	if err != nil {
-		return sqlToken{kind: sqlEOF}
-	}
-	return t
-}
-
 // isKw matches an unquoted identifier case-insensitively.
 func (p *sqlParser) isKw(kw string) bool {
 	return p.tok.kind == sqlIdent && strings.EqualFold(p.tok.value, kw)

@@ -31,11 +31,11 @@ func (t *Table) ReserveIDs(n int) uint32 {
 // non-nil, is consulted periodically through the index builds and row
 // walk so a guard can abort long appends.
 //
-// syn maps a column index to the synopsis batches the load's workers
-// accumulated for that column (see synopsis.Batch); XML columns absent
-// from the map fall back to per-document AddDoc during commit. Synopsis
-// maintenance is infallible and happens in phase B only, so a failed
-// load leaves the summaries untouched.
+// syn maps a column index to synopsis batches holding that column's
+// documents (see synopsis.Batch), each counted in under one lock take;
+// an XML column absent from the map counts its rows' documents one by
+// one. Synopsis maintenance is infallible and happens in phase B only,
+// so a failed load leaves the summaries untouched.
 //
 // Rows must carry ids from ReserveIDs and cells shaped for this table;
 // appended rows take the order given, after any rows concurrent Inserts
@@ -141,7 +141,7 @@ func (t *Table) BulkAppend(rows []Row, runs map[*xmlindex.Index][][][]byte, syn 
 	}
 	pathSetChanged := false
 	for ci := range t.Columns {
-		s := t.syn(ci)
+		s := t.syns[ci]
 		if s == nil {
 			continue
 		}

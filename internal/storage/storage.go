@@ -108,7 +108,9 @@ type Table struct {
 
 	// syns holds one path synopsis per column (nil for non-XML columns),
 	// parallel to Columns and immutable after CreateTable — only the
-	// synopses' contents change, under their own locks.
+	// synopses' contents change, under their own locks. Each is built
+	// over its column's path dictionary, which the column's XML indexes
+	// share (CreateXMLIndex).
 	syns []*synopsis.Synopsis
 
 	// docs counts stored documents per column — exactly what Collection
@@ -237,7 +239,7 @@ func (c *Catalog) CreateTable(name string, cols []Column) (*Table, error) {
 	t.syns = make([]*synopsis.Synopsis, len(cols))
 	for i, col := range cols {
 		if col.Type == XML {
-			t.syns[i] = synopsis.New()
+			t.syns[i] = synopsis.New(pattern.NewDict())
 			if c.metrics != nil {
 				t.syns[i].Instrument(c.metrics.Gauge("synopsis.paths"))
 			}
@@ -394,21 +396,12 @@ func (t *Table) positions(ids postings.List) []int {
 }
 
 // Synopsis returns the path summary of an XML column, nil when the
-// column does not exist, is not XML-typed, or the table was built
-// outside a catalog. The synopsis is safe to read concurrently with
-// table mutation; its counts always reflect committed documents.
+// column does not exist or is not XML-typed. The synopsis is safe to
+// read concurrently with table mutation; its counts always reflect
+// committed documents.
 func (t *Table) Synopsis(column string) *synopsis.Synopsis {
 	ci, err := t.ColumnIndex(column)
-	if err != nil || ci >= len(t.syns) {
-		return nil
-	}
-	return t.syns[ci]
-}
-
-// syn returns the column's synopsis or nil; safe for tables built
-// without CreateTable (tests), where syns is nil.
-func (t *Table) syn(ci int) *synopsis.Synopsis {
-	if ci >= len(t.syns) {
+	if err != nil {
 		return nil
 	}
 	return t.syns[ci]
@@ -469,22 +462,8 @@ func (t *Table) Insert(cells []Cell) (uint32, error) {
 		ri.insert(row)
 	}
 	// Synopsis maintenance is infallible, so it runs after the row has
-	// landed. A new distinct path invalidates cached plans (their skip
-	// decisions assumed it did not exist); count-only growth does not.
-	pathSetChanged := false
-	for i := range row.Cells {
-		cell := row.Cells[i]
-		if cell.Null || cell.Doc == nil {
-			continue
-		}
-		if t.syn(i).AddDoc(cell.Doc) {
-			pathSetChanged = true
-		}
-		t.countDoc(i, cell, 1)
-	}
-	if pathSetChanged {
-		t.bumpVersion()
-	}
+	// landed.
+	t.countRow(row, 1)
 	return id, nil
 }
 
@@ -544,23 +523,29 @@ func (t *Table) Delete(id uint32) error {
 	for i := pos; i < len(t.rows); i++ {
 		t.byID[t.rows[i].ID] = i
 	}
-	// Removing the last occurrence of a path shrinks the path set: plans
-	// that ranked or kept probes for it must be rebuilt.
+	t.countRow(row, -1)
+	return nil
+}
+
+// countRow moves row's document counters and path synopses by delta (+1
+// as the row lands, -1 as it goes). A path appearing or vanishing bumps
+// the catalog version: cached plans' skip decisions assumed the old path
+// set. Count-only changes do not. Callers hold t.mu.
+func (t *Table) countRow(row Row, delta int) {
 	pathSetChanged := false
-	for i := range row.Cells {
-		cell := row.Cells[i]
-		if cell.Null || cell.Doc == nil {
-			continue
+	for ci, cell := range row.Cells {
+		t.countDoc(ci, cell, delta)
+		switch {
+		case cell.Null || cell.Doc == nil:
+		case delta > 0:
+			pathSetChanged = t.syns[ci].AddDoc(cell.Doc) || pathSetChanged
+		default:
+			pathSetChanged = t.syns[ci].RemoveDoc(cell.Doc) || pathSetChanged
 		}
-		if t.syn(i).RemoveDoc(cell.Doc) {
-			pathSetChanged = true
-		}
-		t.countDoc(i, cell, -1)
 	}
 	if pathSetChanged {
 		t.bumpVersion()
 	}
-	return nil
 }
 
 // countDoc moves column ci's document counters by delta (+1 as a cell
@@ -664,7 +649,7 @@ func (t *Table) CreateXMLIndex(name, column, xmlPattern string, typ xmlindex.Typ
 			return nil, fmt.Errorf("index %s already exists", name)
 		}
 	}
-	xi := &XMLIndex{Name: name, Column: strings.ToLower(column), Index: xmlindex.New(name, pat, typ)}
+	xi := &XMLIndex{Name: name, Column: strings.ToLower(column), Index: xmlindex.New(name, pat, typ, t.syns[ci].Dict())}
 	xi.Index.Instrument(t.metrics)
 	if t.probeCacheCap > 0 {
 		xi.Index.SetProbeCacheCapacity(t.probeCacheCap)

@@ -7,30 +7,30 @@
 // pattern can match anything at all, how many nodes it reaches, and how
 // many documents those nodes spread over.
 //
-// Workers accumulate per-document path counts lock-free in a Batch and
-// merge it into the shared synopsis under one lock take, so ingestion
-// pays one extra map update per distinct path per worker, not per node.
-// Paths come from pattern.Walker, the walk the XML indexes extract with,
-// so the synopsis and every index key paths the same way.
+// Paths are the column's pattern.Dict IDs, the ones every XML index key
+// of the column carries, and the counts are kept by ID. AddDoc, RemoveDoc
+// and a bulk load's Merge walk documents straight into the counts, one
+// dictionary lookup per node and no allocation once the paths are known.
 package synopsis
 
 import (
-	"slices"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"github.com/xqdb/xqdb/internal/metrics"
 	"github.com/xqdb/xqdb/internal/pattern"
 	"github.com/xqdb/xqdb/internal/xdm"
 )
 
-// entry is the statistics for one distinct rooted label path.
-type entry struct {
-	labels []pattern.Label
-	count  int64 // nodes with this path across all documents
-	docs   int64 // documents containing at least one such node
+// stat is the statistics for one path ID. A path whose count is 0 is
+// not in the synopsis.
+type stat struct {
+	count int64 // nodes with this path across all documents
+	docs  int64 // documents containing at least one such node
+	// seen marks the last document walk that touched this path, so the
+	// per-document containment count needs no per-document set.
+	seen uint64
 }
 
 // Synopsis is the path summary for one XML column. The zero value is not
@@ -39,19 +39,28 @@ type entry struct {
 // -1, -1) and ignores maintenance calls, so callers on tables built
 // without a synopsis need no special casing.
 type Synopsis struct {
-	mu    sync.RWMutex
-	byKey map[string]*entry
-	// version counts path-set changes (a distinct path appearing or the
-	// last node of a path disappearing). Count-only changes do not bump
-	// it: they can stale an estimate but never a skip decision.
-	version atomic.Uint64
+	dict *pattern.Dict
+
+	mu     sync.RWMutex
+	stats  []stat // by path ID
+	live   int64  // path IDs whose count is not 0
+	walks  uint64 // documents count has walked
+	walker pattern.Walker
 	// mPaths, when instrumented, tracks the distinct path count.
 	mPaths *metrics.Gauge
 }
 
-// New returns an empty synopsis.
-func New() *Synopsis {
-	return &Synopsis{byKey: map[string]*entry{}}
+// New returns an empty synopsis over the column's path dictionary.
+func New(dict *pattern.Dict) *Synopsis {
+	return &Synopsis{dict: dict}
+}
+
+// Dict returns the column's path dictionary (nil for a nil synopsis).
+func (s *Synopsis) Dict() *pattern.Dict {
+	if s == nil {
+		return nil
+	}
+	return s.dict
 }
 
 // Instrument attaches the distinct-path gauge (shared across columns:
@@ -63,15 +72,7 @@ func (s *Synopsis) Instrument(g *metrics.Gauge) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.mPaths = g
-	s.mPaths.Add(int64(len(s.byKey)))
-}
-
-// Version returns the path-set version counter.
-func (s *Synopsis) Version() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.version.Load()
+	s.mPaths.Add(s.live)
 }
 
 // Len returns the number of distinct paths.
@@ -81,80 +82,65 @@ func (s *Synopsis) Len() int {
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.byKey)
+	return int(s.live)
 }
 
 // AddDoc merges one document's paths into the synopsis. It reports
-// whether the path set changed (a path seen for the first time).
-func (s *Synopsis) AddDoc(doc *xdm.Node) bool {
-	if s == nil {
-		return false
-	}
-	b := NewBatch()
-	b.AddDoc(doc)
-	return s.Merge(b)
-}
+// whether the path set changed (a path seen for the first time); a
+// count-only change can stale an estimate but never a skip decision, so
+// only a path-set change invalidates cached plans.
+func (s *Synopsis) AddDoc(doc *xdm.Node) bool { return s.count(1, doc) }
 
-// RemoveDoc subtracts one document's paths, deleting entries whose node
-// count reaches zero. It reports whether the path set changed. The
-// document must have been added before (counts are not clamped — a
-// mismatched remove is a caller bug the rebuild-equivalence tests catch).
-func (s *Synopsis) RemoveDoc(doc *xdm.Node) bool {
-	if s == nil {
-		return false
-	}
-	b := NewBatch()
-	b.AddDoc(doc)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	removed := int64(0)
-	for k, be := range b.byKey {
-		e := s.byKey[k]
-		if e == nil {
-			continue
-		}
-		e.count -= be.count
-		e.docs -= be.docs
-		if e.count <= 0 {
-			delete(s.byKey, k)
-			removed++
-		}
-	}
-	if removed == 0 {
-		return false
-	}
-	s.version.Add(1)
-	if s.mPaths != nil {
-		s.mPaths.Add(-removed)
-	}
-	return true
-}
+// RemoveDoc subtracts one document's paths; a path whose node count
+// reaches zero leaves the synopsis. It reports whether the path set
+// changed. The document must have been added before: a path already
+// absent is left alone.
+func (s *Synopsis) RemoveDoc(doc *xdm.Node) bool { return s.count(-1, doc) }
 
-// Merge folds a batch into the synopsis under one lock take and reports
+// Merge counts a batch's documents in under one lock take and reports
 // whether the path set changed. The batch must not be reused after.
-func (s *Synopsis) Merge(b *Batch) bool {
-	if s == nil || len(b.byKey) == 0 {
+func (s *Synopsis) Merge(b *Batch) bool { return s.count(1, b.docs...) }
+
+// count walks the documents into the counts under one lock take, adding
+// (delta 1) or removing (delta -1) their nodes, and reports whether the
+// path set changed: a path appears as its node count leaves 0 and
+// disappears as it reaches 0.
+func (s *Synopsis) count(delta int64, docs ...*xdm.Node) bool {
+	if s == nil || len(docs) == 0 {
 		return false
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	added := int64(0)
-	for k, be := range b.byKey {
-		if e, ok := s.byKey[k]; ok {
-			e.count += be.count
-			e.docs += be.docs
-		} else {
-			s.byKey[k] = &entry{labels: be.labels, count: be.count, docs: be.docs}
-			added++
+	moved := int64(0) // paths that appeared, or minus those that went
+	for _, doc := range docs {
+		s.walks++
+		_, ids, _ := s.dict.IDs(&s.walker, doc)
+		for _, id := range ids {
+			for int(id) >= len(s.stats) {
+				s.stats = append(s.stats, stat{})
+			}
+			st := &s.stats[id]
+			if st.count == 0 {
+				if delta < 0 {
+					continue
+				}
+				moved++
+			}
+			st.count += delta
+			if st.seen != s.walks {
+				st.seen = s.walks
+				st.docs += delta
+			}
+			if st.count == 0 {
+				moved--
+			}
 		}
 	}
-	if added == 0 {
+	if moved == 0 {
 		return false
 	}
-	s.version.Add(1)
-	if s.mPaths != nil {
-		s.mPaths.Add(added)
-	}
+	s.live += moved
+	s.mPaths.Add(moved)
 	return true
 }
 
@@ -170,10 +156,11 @@ func (s *Synopsis) Match(p *pattern.Pattern) (nodes, docs int64) {
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	for _, e := range s.byKey {
-		if p.Match(e.labels) {
-			nodes += e.count
-			docs += e.docs
+	paths := s.dict.Paths()
+	for id, st := range s.stats {
+		if st.count != 0 && p.Match(paths[id]) {
+			nodes += st.count
+			docs += st.docs
 		}
 	}
 	return nodes, docs
@@ -195,9 +182,12 @@ func (s *Synopsis) Paths() []PathStat {
 		return nil
 	}
 	s.mu.RLock()
-	out := make([]PathStat, 0, len(s.byKey))
-	for _, e := range s.byKey {
-		out = append(out, PathStat{Path: renderPath(e.labels), Count: e.count, Docs: e.docs})
+	paths := s.dict.Paths()
+	out := make([]PathStat, 0, s.live)
+	for id, st := range s.stats {
+		if st.count != 0 {
+			out = append(out, PathStat{Path: renderPath(paths[id]), Count: st.count, Docs: st.docs})
+		}
 	}
 	s.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
@@ -230,47 +220,15 @@ func renderPath(labels []pattern.Label) string {
 	return b.String()
 }
 
-// bentry is one path's counts inside a Batch.
-type bentry struct {
-	labels []pattern.Label
-	count  int64
-	docs   int64
-	// seenDoc marks the last Batch.docSeq that touched this path, so the
-	// per-document containment count needs no per-document set.
-	seenDoc int64
-}
-
-// Batch accumulates path counts for a set of documents without touching
-// any shared state. Not safe for concurrent use — one batch per worker.
+// Batch collects a column's documents, so that a bulk load's commit
+// counts them all in under one synopsis lock take (Merge). Not safe for
+// concurrent use.
 type Batch struct {
-	byKey  map[string]*bentry
-	walker pattern.Walker
-	docSeq int64
+	docs []*xdm.Node
 }
 
 // NewBatch returns an empty batch.
-func NewBatch() *Batch {
-	return &Batch{byKey: map[string]*bentry{}}
-}
+func NewBatch() *Batch { return &Batch{} }
 
-// Len returns the number of distinct paths accumulated.
-func (b *Batch) Len() int { return len(b.byKey) }
-
-// AddDoc records the rooted label path of every node pattern.Walker
-// visits: elements, attributes, text, comment, and processing-instruction
-// nodes, with the document node transparent.
-func (b *Batch) AddDoc(doc *xdm.Node) {
-	b.docSeq++
-	b.walker.Walk(doc, func(_ *xdm.Node, labels []pattern.Label, key []byte) {
-		e := b.byKey[string(key)]
-		if e == nil {
-			e = &bentry{labels: slices.Clone(labels)}
-			b.byKey[string(key)] = e
-		}
-		e.count++
-		if e.seenDoc != b.docSeq {
-			e.seenDoc = b.docSeq
-			e.docs++
-		}
-	})
-}
+// AddDoc adds a document to the batch.
+func (b *Batch) AddDoc(doc *xdm.Node) { b.docs = append(b.docs, doc) }

@@ -24,9 +24,11 @@ var agreePatterns = []string{
 }
 
 // FuzzIndexSynopsisAgree holds index maintenance, bulk extraction and the
-// path synopsis to one node population and one path keying: on an
-// untyped document, a varchar index stores exactly the nodes
-// synopsis.Match counts; an Extractor produces exactly the keys InsertDoc
+// path synopsis to one node population and one path dictionary, which
+// every index and the synopsis share as a column's do: every key's path
+// ID names a path the index pattern matches; on an untyped document a
+// varchar index stores, per path ID and in total, exactly the nodes the
+// synopsis counts; an Extractor produces exactly the keys InsertDoc
 // stores; and InsertDoc+DeleteDoc, like AddDoc+RemoveDoc, leave nothing
 // behind.
 func FuzzIndexSynopsisAgree(f *testing.F) {
@@ -47,10 +49,11 @@ func FuzzIndexSynopsisAgree(f *testing.F) {
 		if err != nil {
 			return
 		}
-		syn := synopsis.New()
+		dict := pattern.NewDict()
+		syn := synopsis.New(dict)
 		syn.AddDoc(doc)
 		for i, p := range pats {
-			ix := New("agree", p, Varchar)
+			ix := New("agree", p, Varchar, dict)
 			if err := ix.InsertDoc(1, doc); err != nil {
 				t.Fatalf("%s: InsertDoc: %v", agreePatterns[i], err)
 			}
@@ -58,11 +61,24 @@ func FuzzIndexSynopsisAgree(f *testing.F) {
 				t.Fatalf("%s: index holds %d entries, synopsis counts %d nodes", agreePatterns[i], ix.Stats().Entries, nodes)
 			}
 			var stored [][]byte
+			perPath := map[uint32]int64{}
 			if _, err := ix.tree.ScanCheck(nil, nil, nil, func(k, _ []byte) bool {
 				stored = append(stored, k)
+				pathID, _, _ := decodeSuffix(k)
+				perPath[pathID]++
 				return true
 			}); err != nil {
 				t.Fatal(err)
+			}
+			paths := dict.Paths()
+			for pathID, n := range perPath {
+				path := paths[pathID]
+				if !p.Match(path) {
+					t.Fatalf("%s: a key names path %d %v, which the pattern does not match", agreePatterns[i], pathID, path)
+				}
+				if nodes, _ := syn.Match(exactPattern(t, path)); nodes != n {
+					t.Fatalf("%s: path %d %v has %d entries, synopsis counts %d nodes", agreePatterns[i], pathID, path, n, nodes)
+				}
 			}
 			e := ix.NewExtractor()
 			if err := e.AddDoc(1, doc); err != nil {
@@ -81,4 +97,29 @@ func FuzzIndexSynopsisAgree(f *testing.F) {
 			t.Fatalf("%d synopsis paths left after RemoveDoc", n)
 		}
 	})
+}
+
+// exactPattern is the pattern that matches exactly the label path path.
+func exactPattern(t *testing.T, path []pattern.Label) *pattern.Pattern {
+	t.Helper()
+	steps := make([]pattern.Step, len(path))
+	for i, l := range path {
+		s := pattern.Step{Axis: pattern.Child, Test: pattern.NameTest, Space: l.Space, Local: l.Local}
+		switch l.Kind {
+		case pattern.AttributeLabel:
+			s.Axis = pattern.Attribute
+		case pattern.TextLabel:
+			s = pattern.Step{Test: pattern.TextTest}
+		case pattern.CommentLabel:
+			s = pattern.Step{Test: pattern.CommentTest}
+		case pattern.PILabel:
+			s = pattern.Step{Test: pattern.PITest, PITarget: l.Local}
+		}
+		steps[i] = s
+	}
+	p, err := pattern.FromSteps(steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }

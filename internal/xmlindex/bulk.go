@@ -2,7 +2,6 @@ package xmlindex
 
 import (
 	"bytes"
-	"encoding/binary"
 	"slices"
 
 	"github.com/xqdb/xqdb/internal/btree"
@@ -10,32 +9,32 @@ import (
 )
 
 // Extractor accumulates index entries for a batch of documents without
-// touching the index. AddDoc is entirely lock-free — it reads only the
-// index's immutable fields (Pattern, Type, Name) and writes into
-// extractor-local state — so one extractor per worker turns XMLPATTERN
-// extraction into an embarrassingly parallel stage of the ingestion
-// pipeline. Keys are encoded with extractor-local path ids; Run rewrites
-// them against the shared dictionary and sorts, yielding one strictly
-// ascending run for PrepareBulk.
+// touching the index. AddDoc takes no index lock — it reads only the
+// index's immutable fields (Pattern, Type, Name, the column dictionary)
+// and writes into extractor-local state — so one extractor per worker
+// turns XMLPATTERN extraction into a parallel stage of the ingestion
+// pipeline. Keys carry the column dictionary's path IDs, so Run only
+// sorts, yielding one strictly ascending run for PrepareBulk.
 type Extractor struct {
-	ix    *Index
-	paths *pathDict // extractor-local verdicts and interning; remapped in Run
-	keys  [][]byte
+	ix   *Index
+	walk pathWalk
+	keys [][]byte
 }
 
 // NewExtractor returns an empty extractor for this index.
 func (ix *Index) NewExtractor() *Extractor {
-	return &Extractor{ix: ix, paths: newPathDict(ix.Pattern)}
+	return &Extractor{ix: ix}
 }
 
 // AddDoc extracts the entries InsertDoc would create for doc, holding no
-// locks. It returns an error only for list-typed matches (the same
+// index lock; the dictionary walk takes the dictionary's lock once per
+// document. It returns an error only for list-typed matches (the same
 // contract as InsertDoc, and likewise a rejected document adds nothing);
 // cast failures skip silently. Documents must carry distinct docIDs
 // across every extractor feeding one PrepareBulk, or the merge will
 // reject the duplicate keys.
 func (e *Extractor) AddDoc(docID uint32, doc *xdm.Node) error {
-	keys, err := e.ix.extract(e.paths, docID, doc, e.keys)
+	keys, err := e.ix.extract(&e.walk, docID, doc, e.keys)
 	if err != nil {
 		return err
 	}
@@ -46,24 +45,11 @@ func (e *Extractor) AddDoc(docID uint32, doc *xdm.Node) error {
 // Len returns the number of entries extracted so far.
 func (e *Extractor) Len() int { return len(e.keys) }
 
-// Run finalizes the extractor into one sorted key run. It takes the
-// index lock exactly once — to re-intern the local paths into the shared
-// dictionary — then rewrites each key's pathID bytes in place and sorts.
-// Interning is append-only, so paths interned for a load that later
-// rolls back are harmless: unused dictionary entries are never consulted.
-// The extractor must not be reused after Run.
+// Run finalizes the extractor into one sorted key run; it takes no lock.
+// Paths AddDoc interned for a load that later rolls back stay in the
+// append-only dictionary, harmless: a path no structure counts is never
+// consulted. The extractor must not be reused after Run.
 func (e *Extractor) Run() [][]byte {
-	remap := make([]uint32, len(e.paths.paths))
-	e.ix.mu.Lock()
-	for local, labels := range e.paths.paths {
-		remap[local], _ = e.ix.paths.lookup(labels, []byte(e.paths.keys[local]))
-	}
-	e.ix.mu.Unlock()
-	for _, k := range e.keys {
-		n := len(k)
-		id := binary.BigEndian.Uint32(k[n-12 : n-8])
-		binary.BigEndian.PutUint32(k[n-12:n-8], remap[id])
-	}
 	slices.SortFunc(e.keys, bytes.Compare)
 	return e.keys
 }

@@ -24,7 +24,7 @@ func mustDoc(t *testing.T, src string) *xdm.Node {
 }
 
 // orderDoc varies both values and concrete paths so the bulk path has to
-// get pathID remapping right, not just key ordering.
+// get path IDs right, not just key ordering.
 func orderDoc(i int) string {
 	if i%3 == 0 {
 		return fmt.Sprintf(`<order><archive><lineitem price="%d.50"/></archive></order>`, i)
@@ -48,8 +48,8 @@ func scanAll(t *testing.T, ix *Index) []Entry {
 // entries, same range-probe results, same query-pattern filtering.
 func TestExtractorBulkEquivalence(t *testing.T) {
 	const docs = 40
-	ref := New("li", pattern.MustParse("//lineitem/@price"), Double)
-	bulk := New("li", pattern.MustParse("//lineitem/@price"), Double)
+	ref := New("li", pattern.MustParse("//lineitem/@price"), Double, pattern.NewDict())
+	bulk := New("li", pattern.MustParse("//lineitem/@price"), Double, pattern.NewDict())
 
 	// Pre-existing rows on both sides: the bulk path must merge with,
 	// not replace, what is already indexed.
@@ -100,8 +100,9 @@ func TestExtractorBulkEquivalence(t *testing.T) {
 		{Range: Range{Lo: dbl(1000), LoInc: true}},
 		{Range: Range{Lo: dbl(5), Hi: dbl(20), LoInc: true, HiInc: false}},
 		// Query pattern more restrictive than the index pattern: only
-		// the archive-nested lineitems. This probes the pathID remap —
-		// a wrong remap mislabels paths and filters the wrong entries.
+		// the archive-nested lineitems. This probes the path IDs the
+		// extractors stamp — a wrong ID mislabels paths and filters the
+		// wrong entries.
 		{QueryPattern: pattern.MustParse("/order/archive/lineitem/@price")},
 	} {
 		want, _, err := scanEntries(ref, p)
@@ -133,7 +134,7 @@ func TestExtractorBulkEquivalence(t *testing.T) {
 // honoring the incremental contract: later InsertDoc/DeleteDoc work and
 // the version moves.
 func TestBulkThenIncrementalMaintenance(t *testing.T) {
-	ix := New("li", pattern.MustParse("//lineitem/@price"), Double)
+	ix := New("li", pattern.MustParse("//lineitem/@price"), Double, pattern.NewDict())
 	e := ix.NewExtractor()
 	for id := uint32(1); id <= 10; id++ {
 		if err := e.AddDoc(id, mustDoc(t, orderDoc(int(id)))); err != nil {
@@ -182,7 +183,7 @@ func TestCommitBulkNoChangeKeepsVersion(t *testing.T) {
 
 // TestExtractorListTypeError mirrors InsertDoc's one hard error.
 func TestExtractorListTypeError(t *testing.T) {
-	ix := New("scores", pattern.MustParse("//scores"), Double)
+	ix := New("scores", pattern.MustParse("//scores"), Double, pattern.NewDict())
 	doc := mustDoc(t, `<r><scores>1 2 3</scores></r>`)
 	if err := xmlschema.New("v").DeclareList("scores", xdm.Double).Validate(doc); err != nil {
 		t.Fatal(err)

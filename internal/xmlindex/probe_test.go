@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -531,5 +532,57 @@ func TestProbeCacheHitAllocatesNothing(t *testing.T) {
 	})
 	if docAllocs != keyAllocs || nodeAllocs != keyAllocs {
 		t.Fatalf("cache hit allocates: DocList %.0f, NodeList %.0f, key derivation alone %.0f", docAllocs, nodeAllocs, keyAllocs)
+	}
+}
+
+// A cold probe whose keys span many (value, path) runs decodes inside a
+// recycled buffer: neither its allocation count nor its bytes per
+// decoded node grow with the result. Collecting into a fresh slice grew
+// it once per append doubling, and the radix sort of three or more runs
+// allocated a scratch as long as the list.
+func TestColdMultiRunProbeAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops buffers at random under -race")
+	}
+	docs := make([]*xdm.Node, 7)
+	for v := range docs {
+		docs[v] = mustDoc(t, fmt.Sprintf(`<order><lineitem price="%d"/></order>`, v))
+	}
+	// price = docID mod 7: seven value runs, each restarting the doc ids.
+	build := func(n int) *Index {
+		ix := liPrice(t)
+		for id := 1; id <= n; id++ {
+			if err := ix.InsertDoc(uint32(id), docs[id%7]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return ix
+	}
+	p := Probe{Range: Range{Lo: dbl(0), LoInc: true}, NoCache: true}
+	measure := func(ix *Index, n int) (allocs, bytesPerNode float64) {
+		probe := func() {
+			if nodes, _, _, err := ix.NodeList(p); err != nil || len(nodes) != n {
+				t.Fatalf("NodeList: %d refs, %v; want %d", len(nodes), err, n)
+			}
+		}
+		allocs = testing.AllocsPerRun(20, probe)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range 20 {
+			probe()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / 20 / float64(n)
+	}
+	smallAllocs, _ := measure(build(200), 200)
+	bigAllocs, bigBytes := measure(build(20000), 20000)
+	t.Logf("cold multi-run probe: %.1f allocs at 200 refs, %.1f at 20000 (%.1f bytes a ref)", smallAllocs, bigAllocs, bigBytes)
+	if bigAllocs > smallAllocs+2 {
+		t.Errorf("cold multi-run probe allocs grow with the result: %.1f at 200 refs, %.1f at 20000", smallAllocs, bigAllocs)
+	}
+	// The result (8 bytes a ref) and its document projection (4 bytes a
+	// document, one document a ref here) are what must be allocated.
+	if bigBytes > 16 {
+		t.Errorf("cold multi-run probe allocates %.1f bytes per decoded ref, want at most 16", bigBytes)
 	}
 }

@@ -2,10 +2,11 @@
 // (§2.1): CREATE INDEX ... USING XMLPATTERN 'pattern' AS type. An index
 // stores one B+Tree entry per node that matches the pattern AND casts to
 // the index type; nodes that fail the cast are silently skipped (the
-// "tolerant" behaviour schema evolution requires). Entries record the
-// node's concrete root-to-node path, so probes can apply additional
-// restrictions on the path — a query path more restrictive than the index
-// pattern is checked per entry.
+// "tolerant" behaviour schema evolution requires). Entries record the ID
+// of the node's concrete root-to-node path in the column's path
+// dictionary (pattern.Dict), so probes can apply additional restrictions
+// on the path — a query path more restrictive than the index pattern is
+// checked per entry.
 package xmlindex
 
 import (
@@ -81,9 +82,13 @@ type Index struct {
 	// probe served from the cache allocates nothing for it.
 	faultSite string
 
-	mu    sync.RWMutex
-	tree  *btree.Tree
-	paths *pathDict
+	mu   sync.RWMutex
+	tree *btree.Tree
+	// dict is the column's path dictionary, shared with the column's
+	// other indexes and its synopsis; entry keys carry its path IDs.
+	dict *pattern.Dict
+	// walk is InsertDoc and DeleteDoc's walk state, guarded by mu.
+	walk pathWalk
 
 	// version counts entry-set changes: InsertDoc/DeleteDoc bump it
 	// whenever they actually add or remove entries. Cached probe results
@@ -137,10 +142,11 @@ func (ix *Index) ProbeCacheCapacity() int {
 	return ix.cache.cap()
 }
 
-// New creates an empty index over the given pattern and type.
-func New(name string, pat *pattern.Pattern, typ Type) *Index {
+// New creates an empty index over the given pattern and type whose keys
+// name paths by their IDs in dict, the indexed column's path dictionary.
+func New(name string, pat *pattern.Pattern, typ Type, dict *pattern.Dict) *Index {
 	return &Index{Name: name, Pattern: pat, Type: typ, faultSite: "xmlindex.scan:" + name,
-		tree: btree.New(), paths: newPathDict(pat), cache: newProbeCache()}
+		tree: btree.New(), dict: dict, cache: newProbeCache()}
 }
 
 // Version returns the entry-set version counter. It moves only when an
@@ -154,41 +160,28 @@ func (ix *Index) Stats() Stats {
 	return Stats{Entries: ix.tree.Len()}
 }
 
-// pathDict interns the concrete label paths index entries carry and
-// memoises the index pattern's verdict per distinct path, so the matcher
-// runs once per path rather than once per node. It owns the walker whose
-// buffers every extraction through it reuses; the index's own dictionary
-// is guarded by the index lock, an extractor's is private to it.
-type pathDict struct {
-	pat *pattern.Pattern
-	// ids maps a path key to its path id, or to -1 when the pattern
-	// rejects the path.
-	ids    map[string]int32
-	paths  [][]pattern.Label // by path id
-	keys   []string          // by path id
-	walker pattern.Walker
+// pathWalk is one owner's walk of the column dictionary: the walker's
+// buffers and the index pattern's verdict per path ID, memoised so the
+// matcher runs once per path rather than once per node. The index keeps
+// one under its lock; each extractor keeps its own.
+type pathWalk struct {
+	walker  pattern.Walker
+	verdict []int8 // by path ID: 0 not yet asked, 1 matches, -1 does not
 }
 
-func newPathDict(pat *pattern.Pattern) *pathDict {
-	return &pathDict{pat: pat, ids: map[string]int32{}}
-}
-
-// lookup returns the id of the path with the given labels and key and
-// whether the pattern matches it, interning a matching path on first
-// sight.
-func (d *pathDict) lookup(labels []pattern.Label, key []byte) (uint32, bool) {
-	if id, ok := d.ids[string(key)]; ok {
-		return uint32(id), id >= 0
+// match reports whether pat matches the path with the given labels and
+// ID.
+func (w *pathWalk) match(pat *pattern.Pattern, labels []pattern.Label, id uint32) bool {
+	for int(id) >= len(w.verdict) {
+		w.verdict = append(w.verdict, 0)
 	}
-	id := int32(-1)
-	k := string(key)
-	if d.pat.Match(labels) {
-		id = int32(len(d.paths))
-		d.paths = append(d.paths, slices.Clone(labels))
-		d.keys = append(d.keys, k)
+	if w.verdict[id] == 0 {
+		w.verdict[id] = -1
+		if pat.Match(labels) {
+			w.verdict[id] = 1
+		}
 	}
-	d.ids[k] = id
-	return uint32(id), id >= 0
+	return w.verdict[id] > 0
 }
 
 // indexableValue computes the value an entry stores for node n, taking the
@@ -211,24 +204,24 @@ func (ix *Index) indexableValue(n *xdm.Node) (xdm.Value, bool, error) {
 }
 
 // extract appends to keys the entries of doc: one key per node whose
-// label path d's pattern matches and whose value casts to the index
-// type. Cast failures skip silently; a list-typed match is skipped and
-// reported as the error (§3.10 footnote), after the walk completes.
-func (ix *Index) extract(d *pathDict, docID uint32, doc *xdm.Node, keys [][]byte) ([][]byte, error) {
+// label path the index pattern matches and whose value casts to the
+// index type. Cast failures skip silently; a list-typed match is skipped
+// and reported as the error (§3.10 footnote), after the walk completes.
+func (ix *Index) extract(w *pathWalk, docID uint32, doc *xdm.Node, keys [][]byte) ([][]byte, error) {
 	var listErr error
-	d.walker.Walk(doc, func(n *xdm.Node, labels []pattern.Label, key []byte) {
-		pathID, ok := d.lookup(labels, key)
-		if !ok {
-			return
+	nodes, ids, paths := ix.dict.IDs(&w.walker, doc)
+	for i, n := range nodes {
+		if !w.match(ix.Pattern, paths[ids[i]], ids[i]) {
+			continue
 		}
 		v, ok, err := ix.indexableValue(n)
 		if err != nil && listErr == nil {
 			listErr = err
 		}
 		if ok {
-			keys = append(keys, ix.encodeKey(v, pathID, docID, n.Ordinal))
+			keys = append(keys, ix.encodeKey(v, ids[i], docID, n.Ordinal))
 		}
-	})
+	}
 	return keys, listErr
 }
 
@@ -249,7 +242,7 @@ func (ix *Index) entriesChanged(delta int) {
 func (ix *Index) InsertDoc(docID uint32, doc *xdm.Node) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	keys, err := ix.extract(ix.paths, docID, doc, nil)
+	keys, err := ix.extract(&ix.walk, docID, doc, nil)
 	if err != nil {
 		return err
 	}
@@ -267,7 +260,7 @@ func (ix *Index) InsertDoc(docID uint32, doc *xdm.Node) error {
 func (ix *Index) DeleteDoc(docID uint32, doc *xdm.Node) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	keys, _ := ix.extract(ix.paths, docID, doc, nil)
+	keys, _ := ix.extract(&ix.walk, docID, doc, nil)
 	before := ix.tree.Len()
 	for _, k := range keys {
 		ix.tree.Delete(k)
@@ -319,20 +312,22 @@ type Hits struct {
 // are ordered [value][pathID][docID][nodeID], so within one (value,
 // path) run the packed suffixes arrive strictly ascending — one
 // run-merge at the end handles the restarts across values and paths.
+// paths is the column dictionary's paths as the probe started: the probe
+// holds the index read lock, so every path ID in the tree is among them.
 type collector struct {
-	ix       *Index
 	pat      *pattern.Pattern
+	paths    [][]pattern.Label
 	g        *guard.Guard
 	verdicts map[uint32]bool //xqvet:docset-ok pathID → pattern verdict, not a doc set
 	nodes    []uint64
 }
 
 func (c *collector) Visit(key, _ []byte) bool {
-	pathID, docID, nodeID := c.ix.decodeSuffix(key)
+	pathID, docID, nodeID := decodeSuffix(key)
 	if c.pat != nil {
 		v, ok := c.verdicts[pathID]
 		if !ok {
-			v = c.pat.Match(c.ix.paths.paths[pathID])
+			v = c.pat.Match(c.paths[pathID])
 			c.verdicts[pathID] = v
 		}
 		if !v {
@@ -344,6 +339,10 @@ func (c *collector) Visit(key, _ []byte) bool {
 }
 
 func (c *collector) Check(int) error { return c.g.Check() }
+
+// refBufs recycles the buffers cold probes collect and decode node
+// references in, so what a cold probe allocates is its exact-size result.
+var refBufs = sync.Pool{New: func() any { return new([]uint64) }}
 
 // Hits runs one index scan request: the result in both its views (the
 // node list and its document projection, held side by side by the decode
@@ -378,11 +377,16 @@ func (ix *Index) Hits(p Probe) (Hits, int, bool, error) {
 			return res, 0, true, nil
 		}
 	}
-	c := collector{ix: ix, pat: p.QueryPattern, g: p.Guard}
+	buf := refBufs.Get().(*[]uint64)
+	defer refBufs.Put(buf)
+	c := collector{pat: p.QueryPattern, g: p.Guard, nodes: (*buf)[:0]}
 	if p.QueryPattern != nil {
+		c.paths = ix.dict.Paths()
 		c.verdicts = map[uint32]bool{} //xqvet:docset-ok pathID verdict cache, see the field
 	}
 	visited, err := ix.tree.ScanVisit(lo, hi, &c)
+	// Room for a copy, so a sort of many runs needs no scratch of its own.
+	*buf = slices.Grow(c.nodes, len(c.nodes))
 	ix.mKeys.Add(int64(visited))
 	if err != nil {
 		return Hits{}, visited, false, err
@@ -390,8 +394,9 @@ func (ix *Index) Hits(p Probe) (Hits, int, bool, error) {
 	ix.mNodes.Add(int64(len(c.nodes)))
 	// Each (value, path) key run emits strictly ascending packed refs —
 	// a node is indexed once per (value, path), so within a run there are
-	// no duplicates and NodesFromRuns merges the run restarts.
-	nodes := postings.NodesFromRuns(c.nodes)
+	// no duplicates and NodesFromRuns merges the run restarts. The result
+	// may share the recycled buffer, so the probe keeps a copy.
+	nodes := slices.Clone(postings.NodesFromRuns(*buf))
 	res := Hits{Nodes: nodes, Docs: nodes.Docs()}
 	if !p.NoCache {
 		// Version and scan both ran under the index read lock, so no
@@ -501,7 +506,7 @@ func (ix *Index) encodeKey(v xdm.Value, pathID, docID, nodeID uint32) []byte {
 	return key
 }
 
-func (ix *Index) decodeSuffix(key []byte) (pathID, docID, nodeID uint32) {
+func decodeSuffix(key []byte) (pathID, docID, nodeID uint32) {
 	n := len(key)
 	return binary.BigEndian.Uint32(key[n-12 : n-8]),
 		binary.BigEndian.Uint32(key[n-8 : n-4]),

@@ -13,7 +13,7 @@ import (
 
 func liPrice(t *testing.T) *Index {
 	t.Helper()
-	return New("li_price", pattern.MustParse("//lineitem/@price"), Double)
+	return New("li_price", pattern.MustParse("//lineitem/@price"), Double, pattern.NewDict())
 }
 
 func insert(t *testing.T, ix *Index, docID uint32, src string) *xdm.Node {
@@ -49,8 +49,8 @@ func scanEntries(ix *Index, p Probe) ([]Entry, int, error) {
 	}
 	var out []Entry
 	visited, err := ix.tree.ScanCheck(lo, hi, nil, func(key, _ []byte) bool {
-		pathID, docID, nodeID := ix.decodeSuffix(key)
-		if p.QueryPattern == nil || p.QueryPattern.Match(ix.paths.paths[pathID]) {
+		pathID, docID, nodeID := decodeSuffix(key)
+		if p.QueryPattern == nil || p.QueryPattern.Match(ix.dict.Paths()[pathID]) {
 			out = append(out, Entry{DocID: docID, NodeID: nodeID})
 		}
 		return true
@@ -106,7 +106,7 @@ func TestTolerantCastSkips(t *testing.T) {
 		t.Fatalf("entries = %d, want 1", got)
 	}
 	// A varchar index on the same data holds both values.
-	vix := New("li_price_s", pattern.MustParse("//lineitem/@price"), Varchar)
+	vix := New("li_price_s", pattern.MustParse("//lineitem/@price"), Varchar, pattern.NewDict())
 	insert(t, vix, 1, `<order><lineitem price="20 USD"/><lineitem price="30"/></order>`)
 	if got := vix.Stats().Entries; got != 2 {
 		t.Fatalf("varchar entries = %d, want 2", got)
@@ -116,8 +116,8 @@ func TestTolerantCastSkips(t *testing.T) {
 func TestPostalCodeEvolution(t *testing.T) {
 	// §2.1's schema evolution story: numeric and string indexes coexist
 	// on the same data; Canadian postal codes never block insertion.
-	num := New("zip_d", pattern.MustParse("//zip"), Double)
-	str := New("zip_s", pattern.MustParse("//zip"), Varchar)
+	num := New("zip_d", pattern.MustParse("//zip"), Double, pattern.NewDict())
+	str := New("zip_s", pattern.MustParse("//zip"), Varchar, pattern.NewDict())
 	for i, z := range []string{"95120", "10014", "K1A 0B1"} {
 		doc, err := xmlparse.Parse("<addr><zip>" + z + "</zip></addr>")
 		if err != nil {
@@ -141,7 +141,7 @@ func TestPostalCodeEvolution(t *testing.T) {
 }
 
 func TestListTypeRejected(t *testing.T) {
-	ix := New("scores", pattern.MustParse("//scores"), Double)
+	ix := New("scores", pattern.MustParse("//scores"), Double, pattern.NewDict())
 	doc, err := xmlparse.Parse(`<r><scores>1 2 3</scores></r>`)
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +157,7 @@ func TestListTypeRejected(t *testing.T) {
 // TestRejectedInsertChangesNothing: a list-typed match that follows an
 // indexable one rejects the document before any entry is stored.
 func TestRejectedInsertChangesNothing(t *testing.T) {
-	ix := New("scores", pattern.MustParse("//scores"), Double)
+	ix := New("scores", pattern.MustParse("//scores"), Double, pattern.NewDict())
 	insert(t, ix, 1, `<r><scores>5</scores></r>`)
 	entries, version := ix.Stats().Entries, ix.Version()
 	doc, err := xmlparse.Parse(`<r><scores>7</scores><w><scores>1 2 3</scores></w></r>`)
@@ -223,7 +223,7 @@ func TestQueryPatternRestriction(t *testing.T) {
 func TestStructuralProbe(t *testing.T) {
 	// A varchar index answers a pure structural predicate by scanning
 	// the full value range (§2.2).
-	ix := New("li", pattern.MustParse("//lineitem"), Varchar)
+	ix := New("li", pattern.MustParse("//lineitem"), Varchar, pattern.NewDict())
 	insert(t, ix, 1, `<order><lineitem>x</lineitem></order>`)
 	insert(t, ix, 2, `<order><note>n</note></order>`)
 	docs, err := docSet(ix, Probe{})
@@ -277,7 +277,7 @@ func TestRangeBoundsInclusive(t *testing.T) {
 }
 
 func TestDateIndex(t *testing.T) {
-	ix := New("o_date", pattern.MustParse("/order/@date"), Date)
+	ix := New("o_date", pattern.MustParse("/order/@date"), Date, pattern.NewDict())
 	insert(t, ix, 1, `<order date="2001-01-01"/>`)
 	insert(t, ix, 2, `<order date="2002-06-15"/>`)
 	insert(t, ix, 3, `<order date="January 1, 2003"/>`) // tolerant skip
@@ -301,7 +301,7 @@ func mustDate(t *testing.T, s string) time.Time {
 }
 
 func TestVarcharOrdering(t *testing.T) {
-	ix := New("name", pattern.MustParse("//name"), Varchar)
+	ix := New("name", pattern.MustParse("//name"), Varchar, pattern.NewDict())
 	insert(t, ix, 1, `<p><name>alice</name></p>`)
 	insert(t, ix, 2, `<p><name>bob</name></p>`)
 	insert(t, ix, 3, `<p><name>carol</name></p>`)
@@ -368,7 +368,7 @@ func TestStringEncodingOrderProperty(t *testing.T) {
 func TestElementConcatenationIndexed(t *testing.T) {
 	// §3.8: the PRICE_TEXT scenario — an element with markup inside
 	// indexes as the concatenated string value "99.50USD".
-	ix := New("PRICE_TEXT", pattern.MustParse("//price"), Varchar)
+	ix := New("PRICE_TEXT", pattern.MustParse("//price"), Varchar, pattern.NewDict())
 	insert(t, ix, 1, `<order><lineitem><price>99.50<currency>USD</currency></price></lineitem></order>`)
 	v1 := xdm.NewString("99.50")
 	docs, _ := docSet(ix, Probe{Range: Equality(v1)})
@@ -384,7 +384,7 @@ func TestElementConcatenationIndexed(t *testing.T) {
 
 func TestBroadAttributeIndex(t *testing.T) {
 	// §2.1: //@* as double covers a numeric predicate on any attribute.
-	ix := New("all_attrs", pattern.MustParse("//@*"), Double)
+	ix := New("all_attrs", pattern.MustParse("//@*"), Double, pattern.NewDict())
 	insert(t, ix, 1, `<a x="1" y="two"><b z="3"/></a>`)
 	if ix.Stats().Entries != 2 {
 		t.Fatalf("entries = %d, want 2", ix.Stats().Entries)
@@ -400,8 +400,8 @@ func TestCommentAndPIIndexing(t *testing.T) {
 	// §2.1: the pattern grammar admits comment() and
 	// processing-instruction() kind tests; their string values index as
 	// varchar.
-	cix := New("comments", pattern.MustParse("//comment()"), Varchar)
-	pix := New("pis", pattern.MustParse("//processing-instruction(audit)"), Varchar)
+	cix := New("comments", pattern.MustParse("//comment()"), Varchar, pattern.NewDict())
+	pix := New("pis", pattern.MustParse("//processing-instruction(audit)"), Varchar, pattern.NewDict())
 	doc, err := xmlparse.Parse(`<order><!--rush--><?audit checked?><?other x?></order>`)
 	if err != nil {
 		t.Fatal(err)
@@ -425,7 +425,7 @@ func TestCommentAndPIIndexing(t *testing.T) {
 }
 
 func TestTextNodeIndexing(t *testing.T) {
-	ix := New("pt", pattern.MustParse("//price/text()"), Varchar)
+	ix := New("pt", pattern.MustParse("//price/text()"), Varchar, pattern.NewDict())
 	doc, err := xmlparse.Parse(`<o><price>99.50<currency>USD</currency></price></o>`)
 	if err != nil {
 		t.Fatal(err)
