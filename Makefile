@@ -73,7 +73,8 @@ loadtest:
 # parser's round trip), the path-step differential, the containment
 # kernel against its map-based reference, the seed survivor filter
 # against a linear Contains filter, the posting-list kernels against
-# their reference bodies and the index/synopsis agreement check;
+# their reference bodies, the index/synopsis agreement check and the
+# SQL parser run on through EXPLAIN and guarded execution;
 # failures become seed corpus regressions under testdata/fuzz/.
 FUZZTIME ?= 15s
 
@@ -88,6 +89,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzNextInDocsAgainstContains -fuzztime=$(FUZZTIME) ./internal/postings
 	$(GO) test -run='^$$' -fuzz=FuzzKernelsAgainstReference -fuzztime=$(FUZZTIME) ./internal/postings
 	$(GO) test -run='^$$' -fuzz=FuzzIndexSynopsisAgree -fuzztime=$(FUZZTIME) ./internal/xmlindex
+	$(GO) test -run='^$$' -fuzz=FuzzSQLParse -fuzztime=$(FUZZTIME) .
 
 # loc prints the line counts a change reports: non-test Go outside bench/
 # and testdata/, then the test Go lines under the same exclusions.

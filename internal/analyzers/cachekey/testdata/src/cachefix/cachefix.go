@@ -1,7 +1,8 @@
 // Package cachefix exercises the cachekey analyzer: a derivation that
 // covers every input is clean, an omitted struct field and an omitted
-// scalar parameter are findings, an ad-hoc string key is a finding, and
-// the annotated escape suppresses.
+// scalar parameter are findings, an ad-hoc string key is a finding (also
+// when passed to an instantiated generic Cache), and the annotated escape
+// suppresses.
 package cachefix
 
 import "strconv"
@@ -78,6 +79,30 @@ func rawLookup(c *fooCache, name string) int {
 	return v
 }
 
+// Cache is generic, the shape of lru.Cache: the check keys on the type
+// name, so each instantiation is checked like any *Cache.
+type Cache[K comparable, V any] struct{ items map[K]V }
+
+func (c *Cache[K, V]) Get(k K, version uint64) (V, bool) { v, ok := c.items[k]; return v, ok }
+func (c *Cache[K, V]) Put(k K, version uint64, v V)      { c.items[k] = v }
+
+// genericRaw passes an ad-hoc string key to an instantiated Cache.
+func genericRaw(c *Cache[string, int], name string) int {
+	v, _ := c.Get("g:"+name, 1) // want "cache key passed to ..Cache..Get is not built by a .Key function"
+	return v
+}
+
+// genericKeyed derives its key through encodeKey: clean.
+func genericKeyed(c *Cache[string, int], r Req) int {
+	k := encodeKey(r)
+	if v, ok := c.Get(k, 1); ok {
+		return v
+	}
+	v := compute(r, 1)
+	c.Put(k, 1, v)
+	return v
+}
+
 func use() {
 	c := &fooCache{items: map[string]int{}}
 	_ = lookup(c, Req{Name: "a", N: 1}, 2)
@@ -85,4 +110,7 @@ func use() {
 	_ = wholeLookup(c, Req{Name: "c", N: 3})
 	_ = rawLookup(c, "d")
 	_ = c.getOrZero(reqKey("e", 4))
+	g := &Cache[string, int]{items: map[string]int{}}
+	_ = genericRaw(g, "f")
+	_ = genericKeyed(g, Req{Name: "g", N: 5})
 }

@@ -10,6 +10,7 @@ package guardloop
 
 import (
 	"go/ast"
+	"go/types"
 	"strings"
 
 	"github.com/xqdb/xqdb/internal/analyzers/analysis"
@@ -25,7 +26,8 @@ const (
 var Analyzer = &analysis.Analyzer{
 	Name: "guardloop",
 	Doc: "flags loops over B+Tree leaf chains, posting lists (postings.List " +
-		"or postings.NodeList), or storage rows ([]storage.Row) whose body " +
+		"or postings.NodeList), or storage rows ([]storage.Row) — ranged, or " +
+		"indexed up to len(x) — whose body " +
 		"never consults the query " +
 		"guard (Guard.Step/Check/Items or a check-every-N callback); annotate " +
 		"deliberately unguarded loops with //xqvet:unbounded-ok <reason>",
@@ -37,21 +39,23 @@ func run(pass *analysis.Pass) error {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch loop := n.(type) {
 			case *ast.RangeStmt:
-				what := rangeSubject(pass, loop)
+				what := subject(pass, loop.X)
 				if what == "" {
-					return true
+					what = subject(pass, lenArg(pass, loop.X)) // for i := range len(x)
 				}
-				if !consultsGuard(loop.Body) {
+				if what != "" && !consultsGuard(loop.Body) {
 					pass.Reportf(loop.Pos(),
 						"loop over %s does not consult the guard; call Guard.Step/Check/Items in the body or annotate //xqvet:unbounded-ok <reason>", what)
 				}
 			case *ast.ForStmt:
-				if !isLeafChainWalk(loop) {
-					return true
-				}
-				if !consultsGuard(loop.Body) {
+				if isLeafChainWalk(loop) {
+					if !consultsGuard(loop.Body) {
+						pass.Reportf(loop.Pos(),
+							"B+Tree leaf-chain walk does not consult the guard; call Guard.Step/Check/Items in the body or annotate //xqvet:unbounded-ok <reason>")
+					}
+				} else if what := subject(pass, lenBound(pass, loop.Cond)); what != "" && !consultsGuard(loop.Body) {
 					pass.Reportf(loop.Pos(),
-						"B+Tree leaf-chain walk does not consult the guard; call Guard.Step/Check/Items in the body or annotate //xqvet:unbounded-ok <reason>")
+						"loop over %s does not consult the guard; call Guard.Step/Check/Items in the body or annotate //xqvet:unbounded-ok <reason>", what)
 				}
 			}
 			return true
@@ -60,10 +64,13 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// rangeSubject classifies a range statement's subject, returning a
-// human-readable description when it is one of the guarded containers.
-func rangeSubject(pass *analysis.Pass, loop *ast.RangeStmt) string {
-	tv, ok := pass.TypesInfo.Types[loop.X]
+// subject classifies what a loop walks, returning a human-readable
+// description when it is one of the guarded containers.
+func subject(pass *analysis.Pass, x ast.Expr) string {
+	if x == nil {
+		return ""
+	}
+	tv, ok := pass.TypesInfo.Types[x]
 	if !ok {
 		return ""
 	}
@@ -76,6 +83,35 @@ func rangeSubject(pass *analysis.Pass, loop *ast.RangeStmt) string {
 		return "storage rows ([]storage.Row)"
 	}
 	return ""
+}
+
+// lenArg returns x when e is the builtin call len(x), else nil.
+func lenArg(pass *analysis.Pass, e ast.Expr) ast.Expr {
+	call, ok := e.(*ast.CallExpr)
+	if !ok || len(call.Args) != 1 {
+		return nil
+	}
+	id, ok := call.Fun.(*ast.Ident)
+	if !ok {
+		return nil
+	}
+	if _, ok := pass.TypesInfo.Uses[id].(*types.Builtin); !ok || id.Name != "len" {
+		return nil
+	}
+	return call.Args[0]
+}
+
+// lenBound returns x when an index loop's condition compares against
+// len(x), as in `for i := 0; i < len(x); i++`, else nil.
+func lenBound(pass *analysis.Pass, cond ast.Expr) ast.Expr {
+	bin, ok := cond.(*ast.BinaryExpr)
+	if !ok {
+		return nil
+	}
+	if x := lenArg(pass, bin.Y); x != nil {
+		return x
+	}
+	return lenArg(pass, bin.X)
 }
 
 // isLeafChainWalk matches the `for n != nil { ...; n = n.next }` and

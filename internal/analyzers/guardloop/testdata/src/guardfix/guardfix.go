@@ -1,6 +1,7 @@
 // Package guardfix exercises the guardloop analyzer: unguarded walks
 // over posting lists, storage rows, and B+Tree-style leaf chains are
-// flagged; loops that consult the guard, and annotated loops, are not.
+// flagged, whether they range over the container or index it up to
+// len(x); loops that consult the guard, and annotated loops, are not.
 package guardfix
 
 import (
@@ -82,6 +83,51 @@ func decodeGuarded(g *guard.Guard, nl postings.NodeList) (uint32, uint32, error)
 		ords += postings.NodeOrd(ref)
 	}
 	return docs, ords, nil
+}
+
+// An index loop bounded by len(x) walks x just as a range over it does.
+func sumIndexed(l postings.List) uint32 {
+	var total uint32
+	for i := 0; i < len(l); i++ { // want "posting list .* does not consult the guard"
+		total += l[i]
+	}
+	return total
+}
+
+func countNodesIndexed(nl postings.NodeList) int {
+	n := 0
+	for i := range len(nl) { // want "node posting list .* does not consult the guard"
+		n += int(postings.NodeOrd(nl[i]))
+	}
+	return n
+}
+
+func countRowsIndexed(rows []storage.Row) int {
+	n := 0
+	for i := 0; len(rows) > i; i++ { // want "storage rows .* does not consult the guard"
+		n += len(rows[i].Cells)
+	}
+	return n
+}
+
+func sumIndexedGuarded(g *guard.Guard, l postings.List) (uint32, error) {
+	var total uint32
+	for i := 0; i < len(l); i++ {
+		if err := g.Step(); err != nil {
+			return 0, err
+		}
+		total += l[i]
+	}
+	return total, nil
+}
+
+// A len bound over a plain slice is not a guarded container.
+func sumPlainIndexed(xs []uint32) uint32 {
+	var total uint32
+	for i := range len(xs) {
+		total += xs[i]
+	}
+	return total
 }
 
 func sumAnnotated(l postings.List) uint32 {

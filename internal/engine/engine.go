@@ -14,6 +14,7 @@ import (
 
 	"github.com/xqdb/xqdb/internal/core"
 	"github.com/xqdb/xqdb/internal/guard"
+	"github.com/xqdb/xqdb/internal/lru"
 	"github.com/xqdb/xqdb/internal/metrics"
 	"github.com/xqdb/xqdb/internal/postings"
 	"github.com/xqdb/xqdb/internal/storage"
@@ -31,36 +32,22 @@ type Engine struct {
 	Metrics *metrics.Registry
 	// plans caches prepared plans keyed by (query, language,
 	// useIndexes), invalidated by the catalog's schema version.
-	plans *planCache
+	plans *lru.Cache[planKey, *plan]
 	inst  instruments
 }
 
-// Config carries Open-time engine knobs.
-type Config struct {
-	// ProbeCacheCapacity bounds each XML index's probe-result LRU;
-	// <= 0 selects xmlindex.DefaultProbeCacheCap.
-	ProbeCacheCapacity int
-}
-
-// New returns an empty database with default configuration.
+// New returns an empty database.
 func New() *Engine {
-	return NewWithConfig(Config{})
-}
-
-// NewWithConfig returns an empty database with the given knobs applied.
-func NewWithConfig(cfg Config) *Engine {
 	reg := metrics.NewRegistry()
 	cat := storage.NewCatalog()
 	cat.SetMetrics(reg)
-	capacity := cfg.ProbeCacheCapacity
-	if capacity <= 0 {
-		capacity = xmlindex.DefaultProbeCacheCap
-	}
-	cat.SetProbeCacheCapacity(capacity)
-	// Recorded as a gauge so MetricsSnapshot reports the configured
-	// capacity alongside the probecache hit/miss/eviction counters.
-	reg.Gauge("probecache.capacity").Set(int64(capacity))
-	e := &Engine{Catalog: cat, Metrics: reg, plans: newPlanCache(reg)}
+	e := &Engine{Catalog: cat, Metrics: reg, plans: lru.New[planKey, *plan](planCacheSize, lru.Metrics{
+		Hits:      reg.Counter("plancache.hits"),
+		Misses:    reg.Counter("plancache.misses"),
+		Stale:     reg.Counter("plancache.stale"),
+		Evictions: reg.Counter("plancache.evictions"),
+		Size:      reg.Gauge("plancache.size"),
+	})}
 	e.inst.init(reg)
 	return e
 }

@@ -1,15 +1,12 @@
 package engine
 
 import (
-	"container/list"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"github.com/xqdb/xqdb/internal/core"
 	"github.com/xqdb/xqdb/internal/guard"
-	"github.com/xqdb/xqdb/internal/metrics"
 	"github.com/xqdb/xqdb/internal/sqlxml"
 	"github.com/xqdb/xqdb/internal/xdm"
 	"github.com/xqdb/xqdb/internal/xquery"
@@ -107,91 +104,11 @@ type planKey struct {
 	useIndexes bool
 }
 
-// planCacheCap bounds the number of cached plans per engine.
-const planCacheCap = 256
-
-// planCache is an LRU map of prepared plans. Entries whose catalog
-// version is stale are dropped on lookup; eviction removes the least
-// recently used entry.
-type planCache struct {
-	mu    sync.Mutex
-	items map[planKey]*list.Element
-	order *list.List // front = most recently used
-
-	// Cache traffic counters (nil-safe when built without a registry).
-	mHits, mMisses, mStale, mEvict *metrics.Counter
-	mSize                          *metrics.Gauge
-}
-
-type planEntry struct {
-	key planKey
-	p   *plan
-}
-
-func newPlanCache(reg *metrics.Registry) *planCache {
-	return &planCache{
-		items:   map[planKey]*list.Element{},
-		order:   list.New(),
-		mHits:   reg.Counter("plancache.hits"),
-		mMisses: reg.Counter("plancache.misses"),
-		mStale:  reg.Counter("plancache.stale"),
-		mEvict:  reg.Counter("plancache.evictions"),
-		mSize:   reg.Gauge("plancache.size"),
-	}
-}
-
-// get returns the cached plan for k if it was built against the current
-// catalog version; a stale entry is removed and nil returned.
-func (c *planCache) get(k planKey, version uint64) *plan {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[k]
-	if !ok {
-		c.mMisses.Inc()
-		return nil
-	}
-	ent := el.Value.(*planEntry)
-	if ent.p.version != version {
-		c.order.Remove(el)
-		delete(c.items, k)
-		c.mStale.Inc()
-		c.mMisses.Inc()
-		c.mSize.Set(int64(len(c.items)))
-		return nil
-	}
-	c.order.MoveToFront(el)
-	c.mHits.Inc()
-	return ent.p
-}
-
-// put inserts or replaces a plan, evicting the least recently used entry
-// past capacity.
-func (c *planCache) put(k planKey, p *plan) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[k]; ok {
-		el.Value.(*planEntry).p = p
-		c.order.MoveToFront(el)
-		return
-	}
-	c.items[k] = c.order.PushFront(&planEntry{key: k, p: p})
-	for len(c.items) > planCacheCap {
-		el := c.order.Back()
-		c.order.Remove(el)
-		delete(c.items, el.Value.(*planEntry).key)
-		c.mEvict.Inc()
-	}
-	c.mSize.Set(int64(len(c.items)))
-}
-
-func (c *planCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.items)
-}
+// planCacheSize bounds the number of cached plans per engine.
+const planCacheSize = 256
 
 // PlanCacheLen reports the number of cached plans (tests and monitoring).
-func (e *Engine) PlanCacheLen() int { return e.plans.len() }
+func (e *Engine) PlanCacheLen() int { return e.plans.Len() }
 
 // Prepare parses, analyzes, and caches the plan for a query, surfacing
 // parse and analysis errors now instead of at execution time. Probes
@@ -213,7 +130,7 @@ func (e *Engine) planFor(query string, lang Lang, useIndexes, prepared bool, sta
 	}
 	//xqvet:cachekey-ok prepared only selects cache bypass above; the built plan does not depend on it
 	k := planKey{query: query, lang: lang, useIndexes: useIndexes}
-	if p := e.plans.get(k, e.Catalog.Version()); p != nil {
+	if p, ok := e.plans.Get(k, e.Catalog.Version()); ok {
 		stats.PlanCache = "hit"
 		return p, nil
 	}
@@ -222,7 +139,7 @@ func (e *Engine) planFor(query string, lang Lang, useIndexes, prepared bool, sta
 	if err != nil {
 		return nil, err
 	}
-	e.plans.put(k, p)
+	e.plans.Put(k, p.version, p)
 	return p, nil
 }
 

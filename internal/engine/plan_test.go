@@ -87,13 +87,13 @@ func TestPlanCacheEligibilityFlip(t *testing.T) {
 
 func TestPlanCacheLRUEviction(t *testing.T) {
 	e := New()
-	for i := 0; i < planCacheCap+20; i++ {
+	for i := 0; i < planCacheSize+20; i++ {
 		if err := e.Prepare(fmt.Sprintf("%d", i), LangXQuery, false); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := e.PlanCacheLen(); n != planCacheCap {
-		t.Fatalf("plan cache holds %d entries, want the cap %d", n, planCacheCap)
+	if n := e.PlanCacheLen(); n != planCacheSize {
+		t.Fatalf("plan cache holds %d entries, want the cap %d", n, planCacheSize)
 	}
 }
 

@@ -36,6 +36,7 @@ func IntersectNodes(a, b NodeList) NodeList { return intersect(a, b) }
 // documents docs lacks costs a few searches, not a pass over them.
 func (l NodeList) NextInDocs(from int, docs List) int {
 	j := 0
+	//xqvet:unbounded-ok galloping kernel: every step moves past a document, and callers step the guard per hit it returns
 	for from < len(l) {
 		d := NodeDoc(l[from])
 		if j = gallop(docs, j, d); j >= len(docs) {
@@ -53,12 +54,14 @@ func (l NodeList) NextInDocs(from int, docs List) int {
 // order. The doc-granular view of a node-granular probe result.
 func (l NodeList) Docs() List {
 	docs := 0 // distinct documents: the projection is allocated once
+	//xqvet:unbounded-ok linear projection of a probe result whose scan already stepped the guard per entry
 	for i := 0; i < len(l); i++ {
 		if i == 0 || NodeDoc(l[i]) != NodeDoc(l[i-1]) {
 			docs++
 		}
 	}
 	out := make(List, 0, docs)
+	//xqvet:unbounded-ok linear projection of a probe result whose scan already stepped the guard per entry
 	for i := 0; i < len(l); i++ {
 		d := NodeDoc(l[i])
 		if n := len(out); n == 0 || out[n-1] != d {

@@ -130,9 +130,6 @@ type Table struct {
 	// metrics is the owning catalog's registry (nil outside an engine);
 	// indexes created on this table are instrumented against it.
 	metrics *metrics.Registry
-	// probeCacheCap bounds the probe-result cache of XML indexes created
-	// on this table; 0 keeps the xmlindex default.
-	probeCacheCap int
 }
 
 // bumpVersion records a schema change against the owning catalog.
@@ -178,9 +175,6 @@ type Catalog struct {
 	// metrics, when set via SetMetrics, instruments indexes created
 	// through this catalog.
 	metrics *metrics.Registry
-	// probeCacheCap, when set via SetProbeCacheCapacity, bounds the
-	// probe-result cache of XML indexes created through this catalog.
-	probeCacheCap int
 }
 
 // SetMetrics attaches a metrics registry: indexes created on tables of
@@ -193,19 +187,6 @@ func (c *Catalog) SetMetrics(reg *metrics.Registry) {
 	c.metrics = reg
 	for _, t := range c.tables {
 		t.metrics = reg
-	}
-}
-
-// SetProbeCacheCapacity follows the SetMetrics pattern: XML indexes
-// created on tables of this catalog from now on bound their probe-result
-// LRU at n entries (n <= 0 keeps the xmlindex default). Call right after
-// NewCatalog — already-existing indexes are not resized.
-func (c *Catalog) SetProbeCacheCapacity(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.probeCacheCap = n
-	for _, t := range c.tables {
-		t.probeCacheCap = n
 	}
 }
 
@@ -235,7 +216,7 @@ func (c *Catalog) CreateTable(name string, cols []Column) (*Table, error) {
 	}
 	t := &Table{Name: strings.ToLower(name), Columns: cols, byID: map[uint32]int{}, nextID: 1,
 		docs: make([]int, len(cols)), annotated: make([]int, len(cols)),
-		catVersion: &c.version, metrics: c.metrics, probeCacheCap: c.probeCacheCap}
+		catVersion: &c.version, metrics: c.metrics}
 	t.syns = make([]*synopsis.Synopsis, len(cols))
 	for i, col := range cols {
 		if col.Type == XML {
@@ -250,16 +231,28 @@ func (c *Catalog) CreateTable(name string, cols []Column) (*Table, error) {
 	return t, nil
 }
 
-// DropTable removes a table.
+// DropTable removes a table and takes what its indexes and synopses
+// still count off the registry's gauges.
 func (c *Catalog) DropTable(name string) error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	key := strings.ToLower(name)
-	if _, ok := c.tables[key]; !ok {
+	t, ok := c.tables[key]
+	if ok {
+		delete(c.tables, key)
+		c.version.Add(1)
+	}
+	c.mu.Unlock()
+	if !ok {
 		return fmt.Errorf("unknown table %s", name)
 	}
-	delete(c.tables, key)
-	c.version.Add(1)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, xi := range t.xmlIndexes {
+		xi.Index.Drop()
+	}
+	for _, s := range t.syns {
+		s.Instrument(nil)
+	}
 	return nil
 }
 
@@ -520,6 +513,7 @@ func (t *Table) Delete(id uint32) error {
 	}
 	t.rows = append(t.rows[:pos], t.rows[pos+1:]...)
 	delete(t.byID, id)
+	//xqvet:unbounded-ok write path under the table lock: stopping halfway would leave byID pointing at the wrong rows
 	for i := pos; i < len(t.rows); i++ {
 		t.byID[t.rows[i].ID] = i
 	}
@@ -651,9 +645,6 @@ func (t *Table) CreateXMLIndex(name, column, xmlPattern string, typ xmlindex.Typ
 	}
 	xi := &XMLIndex{Name: name, Column: strings.ToLower(column), Index: xmlindex.New(name, pat, typ, t.syns[ci].Dict())}
 	xi.Index.Instrument(t.metrics)
-	if t.probeCacheCap > 0 {
-		xi.Index.SetProbeCacheCapacity(t.probeCacheCap)
-	}
 	//xqvet:unbounded-ok DDL index build runs outside any query; no guard is in scope by design
 	for _, row := range t.rows {
 		cell := row.Cells[ci]
@@ -690,6 +681,7 @@ func (t *Table) DropIndex(name string) bool {
 	for i, xi := range t.xmlIndexes {
 		if strings.EqualFold(xi.Name, name) {
 			t.xmlIndexes = append(t.xmlIndexes[:i], t.xmlIndexes[i+1:]...)
+			xi.Index.Drop()
 			t.bumpVersion()
 			return true
 		}

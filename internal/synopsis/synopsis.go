@@ -64,13 +64,16 @@ func (s *Synopsis) Dict() *pattern.Dict {
 }
 
 // Instrument attaches the distinct-path gauge (shared across columns:
-// updates are deltas, not sets).
+// updates are deltas, not sets), moving the synopsis's count off any
+// gauge attached before. Instrument(nil) detaches a dropped column's
+// synopsis.
 func (s *Synopsis) Instrument(g *metrics.Gauge) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.mPaths.Add(-s.live)
 	s.mPaths = g
 	s.mPaths.Add(s.live)
 }

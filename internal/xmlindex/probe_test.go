@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/xqdb/xqdb/internal/lru"
 	"github.com/xqdb/xqdb/internal/metrics"
 	"github.com/xqdb/xqdb/internal/pattern"
 	"github.com/xqdb/xqdb/internal/postings"
@@ -199,37 +200,31 @@ func TestProbeCacheNoCacheBypass(t *testing.T) {
 			t.Fatalf("run %d: NoCache must always scan (cached=%v visited=%d)", i, cached, visited)
 		}
 	}
-	if ix.cache.len() != 0 {
-		t.Fatalf("NoCache populated the cache: %d entries", ix.cache.len())
+	if ix.cache.Len() != 0 {
+		t.Fatalf("NoCache populated the cache: %d entries", ix.cache.Len())
 	}
 }
 
 func TestProbeCacheLRUEviction(t *testing.T) {
 	ix := liPrice(t)
 	insert(t, ix, 1, `<order><lineitem price="150"/></order>`)
-	for i := 0; i <= DefaultProbeCacheCap+10; i++ {
+	for i := 0; i <= probeCacheSize+10; i++ {
 		lo := xdm.NewDouble(float64(i))
 		if _, _, _, err := ix.DocList(Probe{Range: Range{Lo: &lo, LoInc: true}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := ix.cache.len(); n != DefaultProbeCacheCap {
-		t.Fatalf("cache holds %d entries, want the cap %d", n, DefaultProbeCacheCap)
+	if n := ix.cache.Len(); n != probeCacheSize {
+		t.Fatalf("cache holds %d entries, want the cap %d", n, probeCacheSize)
 	}
 }
 
-// The capacity knob bounds the LRU, and shrinking it below the live
-// entry count evicts cold-end entries immediately.
+// An index's probe cache built small keeps the most recent probes and
+// drops the cold end.
 func TestProbeCacheConfiguredCapacity(t *testing.T) {
 	ix := liPrice(t)
 	insert(t, ix, 1, `<order><lineitem price="150"/></order>`)
-	if got := ix.ProbeCacheCapacity(); got != DefaultProbeCacheCap {
-		t.Fatalf("default capacity = %d, want %d", got, DefaultProbeCacheCap)
-	}
-	ix.SetProbeCacheCapacity(3)
-	if got := ix.ProbeCacheCapacity(); got != 3 {
-		t.Fatalf("capacity = %d, want 3", got)
-	}
+	ix.cache = lru.New[string, Hits](3, lru.Metrics{})
 	probe := func(i int) Probe {
 		lo := xdm.NewDouble(float64(i))
 		return Probe{Range: Range{Lo: &lo, LoInc: true}}
@@ -239,22 +234,11 @@ func TestProbeCacheConfiguredCapacity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := ix.cache.len(); n != 3 {
+	if n := ix.cache.Len(); n != 3 {
 		t.Fatalf("cache holds %d entries, want the configured cap 3", n)
 	}
-	// The most recent probes survive; the cold end is gone.
 	if !ix.ProbeCached(probe(9)) || ix.ProbeCached(probe(0)) {
 		t.Fatal("eviction must drop the cold end and keep the hot end")
-	}
-	// Shrinking below the live count evicts immediately.
-	ix.SetProbeCacheCapacity(1)
-	if n := ix.cache.len(); n != 1 {
-		t.Fatalf("cache holds %d entries after shrink, want 1", n)
-	}
-	// n <= 0 restores the default.
-	ix.SetProbeCacheCapacity(0)
-	if got := ix.ProbeCacheCapacity(); got != DefaultProbeCacheCap {
-		t.Fatalf("capacity after reset = %d, want %d", got, DefaultProbeCacheCap)
 	}
 }
 
@@ -402,9 +386,9 @@ func TestProbeCacheSharedAcrossProjections(t *testing.T) {
 			t.Fatalf("nodeFirst=%v: docs %v nodes %v, want 2 and 2", nodeFirst, docs, nodes)
 		}
 		snap := reg.Snapshot()
-		if ix.cache.len() != 1 || snap.Gauges["probecache.entries"] != 1 {
+		if ix.cache.Len() != 1 || snap.Gauges["probecache.entries"] != 1 {
 			t.Fatalf("nodeFirst=%v: %d entries (gauge %d), want one shared entry",
-				nodeFirst, ix.cache.len(), snap.Gauges["probecache.entries"])
+				nodeFirst, ix.cache.Len(), snap.Gauges["probecache.entries"])
 		}
 		if snap.Counters["probecache.hits"] != 1 || snap.Counters["probecache.misses"] != 1 {
 			t.Fatalf("nodeFirst=%v: hits %d misses %d, want 1 and 1", nodeFirst,
@@ -445,7 +429,7 @@ func TestProbeCacheNeverStaleProperty(t *testing.T) {
 		ix := liPrice(t)
 		// From smaller than the probe set (evictions interleave with
 		// invalidations) to large enough to keep every entry.
-		ix.SetProbeCacheCapacity(3 + rng.Intn(4))
+		ix.cache = lru.New[string, Hits](3+rng.Intn(4), lru.Metrics{})
 		live := map[uint32]*xdm.Node{}
 		for step := 0; step < 40; step++ {
 			id := uint32(rng.Intn(8))

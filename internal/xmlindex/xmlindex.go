@@ -19,6 +19,7 @@ import (
 
 	"github.com/xqdb/xqdb/internal/btree"
 	"github.com/xqdb/xqdb/internal/guard"
+	"github.com/xqdb/xqdb/internal/lru"
 	"github.com/xqdb/xqdb/internal/metrics"
 	"github.com/xqdb/xqdb/internal/pattern"
 	"github.com/xqdb/xqdb/internal/postings"
@@ -95,7 +96,13 @@ type Index struct {
 	// embed the version they were computed against, so a bump invalidates
 	// every cached probe of this index at its next lookup.
 	version atomic.Uint64
-	cache   *probeCache
+	// cache holds probe results keyed by probeKey. Hits, DocList and
+	// NodeList are views of one result, so a probe over given bounds and
+	// pattern has one entry whichever of them filled it. Its mutex is
+	// taken under mu's read lock, where concurrent probes are the point.
+	cache *lru.Cache[string, Hits]
+	// dropped marks an index DROP has detached (Drop); guarded by mu.
+	dropped bool
 
 	// Registry instruments, shared across the indexes of one engine;
 	// nil (uninstrumented) when the index lives outside an engine.
@@ -114,8 +121,10 @@ type Index struct {
 // instrumented indexes, xmlindex.nodes_decoded the node references every
 // cold (uncached) probe decodes — whichever of NodeList and DocList asked,
 // since both read the same decoded result — xmlindex.entries gauges the
-// total live entries, and the underlying tree feeds btree.scans /
-// btree.keys_visited. Call before the index is shared between goroutines.
+// total live entries, the probe cache (built anew, empty) feeds
+// probecache.{hits,misses,invalidations,evictions,entries}, and the
+// underlying tree feeds btree.scans / btree.keys_visited. Call before the
+// index is shared between goroutines.
 func (ix *Index) Instrument(reg *metrics.Registry) {
 	if reg == nil {
 		return
@@ -124,29 +133,39 @@ func (ix *Index) Instrument(reg *metrics.Registry) {
 	ix.mKeys = reg.Counter("xmlindex.keys_visited")
 	ix.mNodes = reg.Counter("xmlindex.nodes_decoded")
 	ix.mEntries = reg.Gauge("xmlindex.entries")
-	ix.cache.instrument(reg)
+	ix.cache = lru.New[string, Hits](probeCacheSize, lru.Metrics{
+		Hits:      reg.Counter("probecache.hits"),
+		Misses:    reg.Counter("probecache.misses"),
+		Stale:     reg.Counter("probecache.invalidations"),
+		Evictions: reg.Counter("probecache.evictions"),
+		Size:      reg.Gauge("probecache.entries"),
+	})
 	ix.mTreeScans = reg.Counter("btree.scans")
 	ix.mTreeKeys = reg.Counter("btree.keys_visited")
 	ix.tree.Instrument(ix.mTreeScans, ix.mTreeKeys)
 }
 
-// SetProbeCacheCapacity rebounds the probe-result LRU (n <= 0 restores
-// DefaultProbeCacheCap). Entries past the new capacity are evicted
-// cold-end first. Safe at any point in the index's life.
-func (ix *Index) SetProbeCacheCapacity(n int) {
-	ix.cache.setCapacity(n)
-}
+// probeCacheSize bounds the number of cached probe results per index.
+const probeCacheSize = 128
 
-// ProbeCacheCapacity returns the probe cache's configured capacity.
-func (ix *Index) ProbeCacheCapacity() int {
-	return ix.cache.cap()
+// Drop detaches an index that DROP INDEX or DROP TABLE removed: what it
+// still counts in the xmlindex.entries and probecache.entries gauges is
+// taken off, and a probe that reaches it later, through a plan fetched
+// before the drop, neither fills the cache nor moves a gauge.
+func (ix *Index) Drop() {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	ix.mEntries.Add(-int64(ix.tree.Len()))
+	ix.mEntries = nil
+	ix.cache.Clear()
+	ix.dropped = true
 }
 
 // New creates an empty index over the given pattern and type whose keys
 // name paths by their IDs in dict, the indexed column's path dictionary.
 func New(name string, pat *pattern.Pattern, typ Type, dict *pattern.Dict) *Index {
 	return &Index{Name: name, Pattern: pat, Type: typ, faultSite: "xmlindex.scan:" + name,
-		tree: btree.New(), dict: dict, cache: newProbeCache()}
+		tree: btree.New(), dict: dict, cache: lru.New[string, Hits](probeCacheSize, lru.Metrics{})}
 }
 
 // Version returns the entry-set version counter. It moves only when an
@@ -370,10 +389,11 @@ func (ix *Index) Hits(p Probe) (Hits, int, bool, error) {
 		return Hits{Nodes: postings.NodeList{}, Docs: postings.List{}}, 0, false, nil
 	}
 	version := ix.version.Load()
+	useCache := !p.NoCache && !ix.dropped
 	var key string
-	if !p.NoCache {
+	if useCache {
 		key = probeKey(lo, hi, p.QueryPattern)
-		if res, ok := ix.cache.get(key, version); ok {
+		if res, ok := ix.cache.Get(key, version); ok {
 			return res, 0, true, nil
 		}
 	}
@@ -398,11 +418,11 @@ func (ix *Index) Hits(p Probe) (Hits, int, bool, error) {
 	// may share the recycled buffer, so the probe keeps a copy.
 	nodes := slices.Clone(postings.NodesFromRuns(*buf))
 	res := Hits{Nodes: nodes, Docs: nodes.Docs()}
-	if !p.NoCache {
+	if useCache {
 		// Version and scan both ran under the index read lock, so no
 		// insert or delete can have interleaved: the cached result is
 		// exactly the entry set at this version.
-		ix.cache.put(key, version, res)
+		ix.cache.Put(key, version, res)
 	}
 	return res, visited, false, nil
 }
@@ -439,7 +459,26 @@ func (ix *Index) ProbeCached(p Probe) bool {
 	if err != nil || empty {
 		return false
 	}
-	return ix.cache.peek(probeKey(lo, hi, p.QueryPattern), ix.version.Load())
+	return ix.cache.Peek(probeKey(lo, hi, p.QueryPattern), ix.version.Load())
+}
+
+// probeKey builds the cache key for a probe: the encoded B+Tree bounds
+// (length-prefixed, so binary bounds cannot collide across the
+// separator) and the query-pattern source.
+func probeKey(lo, hi []byte, pat *pattern.Pattern) string {
+	b := make([]byte, 0, len(lo)+len(hi)+16)
+	b = appendLenPrefixed(b, lo)
+	b = appendLenPrefixed(b, hi)
+	if pat != nil {
+		b = append(b, pat.String()...)
+	}
+	return string(b)
+}
+
+func appendLenPrefixed(b, s []byte) []byte {
+	n := len(s)
+	b = append(b, byte(n>>24), byte(n>>16), byte(n>>8), byte(n))
+	return append(b, s...)
 }
 
 // bounds converts a value range to B+Tree key bounds. empty reports a

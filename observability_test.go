@@ -3,6 +3,7 @@ package xqdb
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -426,36 +427,127 @@ func TestMetricsMixedWorkload(t *testing.T) {
 	}
 }
 
-// The probe-cache capacity rides from Open through catalog and table to
-// every index created afterwards, is reported in MetricsSnapshot, and
-// actually bounds the per-index LRU.
-func TestProbeCacheCapacityOption(t *testing.T) {
-	if got := Open().MetricsSnapshot().Gauges["probecache.capacity"]; got != 128 {
-		t.Fatalf("default probecache.capacity = %d, want 128", got)
-	}
-
-	db := Open(WithProbeCacheCapacity(2))
-	if got := db.MetricsSnapshot().Gauges["probecache.capacity"]; got != 2 {
-		t.Fatalf("probecache.capacity = %d, want 2", got)
-	}
+// Every index's probe cache holds 128 entries: k probes past that
+// evict k, and the entry gauge stays at the size.
+func TestProbeCacheEvictsPastDefaultSize(t *testing.T) {
+	const size, k = 128, 5
+	db := Open()
 	db.MustExecSQL(`create table orders (ordid integer, orddoc xml)`)
 	db.MustExecSQL(`insert into orders values (1, '<order><lineitem price="150"/></order>')`)
 	db.MustExecSQL(`create index li_price on orders(orddoc) using xmlpattern '//lineitem/@price' as double`)
-
-	// Six distinct probes against a capacity-2 cache: entries stay
-	// bounded and the overflow shows up as evictions.
-	for i := 0; i < 6; i++ {
+	for i := 0; i < size+k; i++ {
 		q := fmt.Sprintf(`db2-fn:xmlcolumn("ORDERS.ORDDOC")//order[lineitem/@price > %d]`, i)
 		if _, _, err := db.QueryXQuery(q); err != nil {
 			t.Fatal(err)
 		}
 	}
 	snap := db.MetricsSnapshot()
-	if got := snap.Gauges["probecache.entries"]; got != 2 {
-		t.Fatalf("probecache.entries = %d, want the configured cap 2", got)
+	if got := snap.Gauges["probecache.entries"]; got != size {
+		t.Fatalf("probecache.entries = %d, want the size %d", got, size)
 	}
-	if got := snap.Counters["probecache.evictions"]; got != 4 {
-		t.Fatalf("probecache.evictions = %d, want 4", got)
+	if got := snap.Counters["probecache.evictions"]; got != k {
+		t.Fatalf("probecache.evictions = %d, want %d", got, k)
+	}
+}
+
+// dropGauges are the gauges an index or a table counts while it exists.
+var dropGauges = []string{"xmlindex.entries", "probecache.entries", "synopsis.paths"}
+
+// gaugeValues reads the named gauges (an absent gauge reads 0).
+func gaugeValues(db *DB, names []string) []int64 {
+	g := db.MetricsSnapshot().Gauges
+	out := make([]int64, len(names))
+	for i, n := range names {
+		out[i] = g[n]
+	}
+	return out
+}
+
+const dropProbe = `db2-fn:xmlcolumn("ORDERS.ORDDOC")//order[lineitem/@price > 100]`
+
+// createProbed creates the orders table (unless it exists), the li_price
+// index, and warms one probe-cache entry.
+func createProbed(t *testing.T, db *DB, table bool) {
+	t.Helper()
+	if table {
+		db.MustExecSQL(`create table orders (ordid integer, orddoc xml)`)
+		db.MustExecSQL(`insert into orders values (1, '<order><lineitem price="150"/></order>')`)
+	}
+	db.MustExecSQL(`create index li_price on orders(orddoc) using xmlpattern '//lineitem/@price' as double`)
+	if _, _, err := db.QueryXQuery(dropProbe); err != nil {
+		t.Fatal(err)
+	}
+	if got := gaugeValues(db, dropGauges); got[0] != 1 || got[1] != 1 || got[2] != 3 {
+		t.Fatalf("after create and probe: %v = %v, want [1 1 3]", dropGauges, got)
+	}
+}
+
+// DROP INDEX and DROP TABLE take what the dropped index and the table's
+// synopsis still count off the gauges.
+func TestDropReturnsGauges(t *testing.T) {
+	db := Open()
+	before := gaugeValues(db, dropGauges)
+	createProbed(t, db, true)
+	db.MustExecSQL(`drop index li_price`)
+	if got := gaugeValues(db, dropGauges[:2]); !slices.Equal(got, before[:2]) {
+		t.Fatalf("after DROP INDEX: %v = %v, want %v", dropGauges[:2], got, before[:2])
+	}
+	createProbed(t, db, false)
+	db.MustExecSQL(`drop table orders`)
+	if got := gaugeValues(db, dropGauges); !slices.Equal(got, before) {
+		t.Fatalf("after DROP TABLE: %v = %v, want %v", dropGauges, got, before)
+	}
+}
+
+// A prepared probe loop racing DROP INDEX and DROP TABLE, each probe
+// through a plan fetched before the drop, leaves no counted entry.
+func TestDropReturnsGaugesUnderProbes(t *testing.T) {
+	db := Open()
+	before := gaugeValues(db, dropGauges)
+	var stmt *Stmt
+	race := func(drop string) {
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for range 2 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					// After DROP TABLE the query fails; that is fine here.
+					_, _, _ = stmt.Exec()
+				}
+			}()
+		}
+		for range 50 {
+			if _, _, err := stmt.Exec(); err != nil {
+				t.Error(err)
+			}
+		}
+		db.MustExecSQL(drop)
+		for range 50 {
+			_, _, _ = stmt.Exec()
+		}
+		close(stop)
+		wg.Wait()
+	}
+	createProbed(t, db, true)
+	stmt, err := db.PrepareXQuery(dropProbe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	race(`drop index li_price`)
+	if got := gaugeValues(db, dropGauges[:2]); !slices.Equal(got, before[:2]) {
+		t.Fatalf("after DROP INDEX: %v = %v, want %v", dropGauges[:2], got, before[:2])
+	}
+	createProbed(t, db, false)
+	race(`drop table orders`)
+	if got := gaugeValues(db, dropGauges); !slices.Equal(got, before) {
+		t.Fatalf("after DROP TABLE: %v = %v, want %v", dropGauges, got, before)
 	}
 }
 

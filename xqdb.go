@@ -59,20 +59,11 @@ type Stats = engine.Stats
 
 // openConfig collects Open-time knobs.
 type openConfig struct {
-	probeCacheCapacity int
-	loadParallelism    int
+	loadParallelism int
 }
 
 // Option configures a DB at Open time.
 type Option func(*openConfig)
-
-// WithProbeCacheCapacity bounds each XML index's probe-result cache at n
-// entries (LRU eviction past it). n <= 0 keeps the default of 128. The
-// configured capacity is reported as the probecache.capacity gauge in
-// MetricsSnapshot.
-func WithProbeCacheCapacity(n int) Option {
-	return func(c *openConfig) { c.probeCacheCapacity = n }
-}
 
 // WithLoadParallelism sets the default worker count for bulk loads
 // (LoadXMLDir) — the load-side twin of QueryOptions.Parallelism. n <= 0
@@ -89,8 +80,7 @@ func Open(opts ...Option) *DB {
 	for _, o := range opts {
 		o(&c)
 	}
-	eng := engine.NewWithConfig(engine.Config{ProbeCacheCapacity: c.probeCacheCapacity})
-	return &DB{eng: eng, loadParallelism: c.loadParallelism, UseIndexes: true}
+	return &DB{eng: engine.New(), loadParallelism: c.loadParallelism, UseIndexes: true}
 }
 
 // Result is a query result: column names and stringified rows plus the
