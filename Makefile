@@ -71,7 +71,8 @@ loadtest:
 # Short fuzz burns over the parser entry points (the XML parser's depth
 # limit and its reader/string differential included, and the XMLPATTERN
 # parser's round trip), the path-step differential, the containment
-# kernel against its map-based reference, the seed survivor filter
+# kernel against its map-based reference, path sets against the
+# matcher they replace, the seed survivor filter
 # against a linear Contains filter, the posting-list kernels against
 # their reference bodies, the index/synopsis agreement check and the
 # SQL parser run on through EXPLAIN and guarded execution;
@@ -86,6 +87,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPathStepOrder -fuzztime=$(FUZZTIME) ./internal/xquery
 	$(GO) test -run='^$$' -fuzz=FuzzPatternParse -fuzztime=$(FUZZTIME) ./internal/pattern
 	$(GO) test -run='^$$' -fuzz=FuzzContainsAgainstReference -fuzztime=$(FUZZTIME) ./internal/pattern
+	$(GO) test -run='^$$' -fuzz=FuzzPathSetAgainstMatch -fuzztime=$(FUZZTIME) ./internal/pattern
 	$(GO) test -run='^$$' -fuzz=FuzzNextInDocsAgainstContains -fuzztime=$(FUZZTIME) ./internal/postings
 	$(GO) test -run='^$$' -fuzz=FuzzKernelsAgainstReference -fuzztime=$(FUZZTIME) ./internal/postings
 	$(GO) test -run='^$$' -fuzz=FuzzIndexSynopsisAgree -fuzztime=$(FUZZTIME) ./internal/xmlindex

@@ -6,6 +6,7 @@ import (
 
 	"github.com/xqdb/xqdb/internal/core"
 	"github.com/xqdb/xqdb/internal/guard"
+	"github.com/xqdb/xqdb/internal/pattern"
 	"github.com/xqdb/xqdb/internal/storage"
 	"github.com/xqdb/xqdb/internal/xdm"
 	"github.com/xqdb/xqdb/internal/xmlindex"
@@ -24,6 +25,8 @@ type answerSource struct {
 	// a synopsis source to fall through at execution.
 	table  *storage.Table
 	column string
+	// paths is the query pattern's path set, decided at plan time.
+	paths *pattern.PathSet
 	// index, when non-nil, selects the index source; nil selects the
 	// synopsis.
 	index *xmlindex.Index
@@ -46,6 +49,7 @@ func (e *Engine) planAnswer(q *core.DocFreeQuery) *answerSource {
 	if dot := strings.IndexByte(q.Collection, '.'); dot >= 0 {
 		if tab, err := e.Catalog.Table(q.Collection[:dot]); err == nil {
 			a.table, a.column = tab, q.Collection[dot+1:]
+			a.paths = tab.Synopsis(a.column).Dict().Match(q.Pattern)
 		}
 	}
 	if q.Value == nil {
@@ -60,7 +64,7 @@ func (e *Engine) planAnswer(q *core.DocFreeQuery) *answerSource {
 		return nil // e.g. != cannot be answered by one range probe
 	}
 	syn := a.table.Synopsis(a.column)
-	qNodes, _ := syn.Match(q.Pattern)
+	qNodes, _ := syn.Count(a.paths)
 	if qNodes < 0 {
 		return nil // no synopsis: population equality cannot be established
 	}
@@ -72,11 +76,11 @@ func (e *Engine) planAnswer(q *core.DocFreeQuery) *answerSource {
 		// Containment (checked above) makes the query's matches a
 		// subset of the index's; equal totals make them the same set,
 		// so every index entry in range is a query hit and vice versa.
-		if iNodes, _ := syn.Match(xi.Index.Pattern); iNodes != qNodes {
+		if iNodes, _ := syn.Count(syn.Dict().Match(xi.Index.Pattern)); iNodes != qNodes {
 			continue
 		}
 		a.index = xi.Index
-		a.probe = xmlindex.Probe{Range: r, QueryPattern: q.Pattern}
+		a.probe = xmlindex.Probe{Range: r, Paths: a.paths}
 		a.label = fmt.Sprintf("%s(%s of %s %s %s)", xi.Name, answerKind(q), q.Pattern, q.Op.GeneralSymbol(), q.Value.Lexical())
 		return a
 	}
@@ -97,7 +101,7 @@ func (e *Engine) answer(a *answerSource, g *guard.Guard, o ExecOptions, stats *S
 		if o.NoSynopsis || a.table == nil {
 			return nil, false, nil
 		}
-		if nodes, _ = a.table.Synopsis(a.column).Match(a.q.Pattern); nodes < 0 {
+		if nodes, _ = a.table.Synopsis(a.column).Count(a.paths); nodes < 0 {
 			return nil, false, nil
 		}
 		stats.SynopsisAnswered = true

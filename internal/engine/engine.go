@@ -16,6 +16,7 @@ import (
 	"github.com/xqdb/xqdb/internal/guard"
 	"github.com/xqdb/xqdb/internal/lru"
 	"github.com/xqdb/xqdb/internal/metrics"
+	"github.com/xqdb/xqdb/internal/pattern"
 	"github.com/xqdb/xqdb/internal/postings"
 	"github.com/xqdb/xqdb/internal/storage"
 	"github.com/xqdb/xqdb/internal/xdm"
@@ -225,48 +226,49 @@ func (e *Engine) planProbes(a *core.Analysis) ([]probePlan, []predDecision, erro
 				if !d.cands[vi].fail.Eligible() {
 					continue
 				}
+				// Decided once per plan: the probe keeps entries on these paths.
+				paths := tab.Synopsis(column).Dict().Match(p.Pattern)
+				var pl probePlan
 				if p.Value == nil && p.JoinColumn != "" && p.Op == xdm.OpEq {
 					// Index semi-join (Query 13): probe once per distinct
 					// value of the SQL column the comparison references.
-					if pl, ok := e.buildSemiJoinPlan(p, xi, tab); ok {
-						plans = append(plans, pl)
-						e.annotateProbe(&plans[len(plans)-1])
-						d.chosen, d.chosenLabel = vi, plans[len(plans)-1].label
-					} else {
+					var ok bool
+					if pl, ok = e.buildSemiJoinPlan(p, paths, xi, tab); !ok {
 						d.note = "semi-join not plannable: join table or column not found"
+						break
 					}
-					break
-				}
-				probe, label, partner := buildProbe(p, pi, a)
-				if probe == nil {
-					d.note = fmt.Sprintf("operator %s cannot be answered by a single range probe", p.Op.GeneralSymbol())
-					break
-				}
-				if partner >= 0 {
-					consumed[partner] = true
-				}
-				pl := probePlan{
-					index: xi.Index, probe: *probe,
-					label: fmt.Sprintf("%s(%s)", xi.Name, label),
-					table: tab, forRow: p.FromIndex, coll: p.Collection, occ: p.Occurrence,
-				}
-				if p.FromIndex < 0 && p.Value != nil && p.SeedPath != nil {
-					// Node-granularity candidate: the probe's hits seed the
-					// compared path's re-evaluation (and the between
-					// partner's — a merged range is exact for both bounds of
-					// the provably singleton item).
-					pl.seeds = append(pl.seeds, p.SeedPath)
-					pl.seedSingle = p.SeedSingle
-					pl.seedScope = p.Scope
+				} else {
+					probe, label, partner := buildProbe(p, pi, a, paths)
+					if probe == nil {
+						d.note = fmt.Sprintf("operator %s cannot be answered by a single range probe", p.Op.GeneralSymbol())
+						break
+					}
 					if partner >= 0 {
-						if q := a.Predicates[partner]; q.SeedPath != nil {
-							pl.seeds = append(pl.seeds, q.SeedPath)
+						consumed[partner] = true
+					}
+					pl = probePlan{
+						index: xi.Index, probe: *probe,
+						label: fmt.Sprintf("%s(%s)", xi.Name, label),
+						table: tab, forRow: p.FromIndex, coll: p.Collection, occ: p.Occurrence,
+					}
+					if p.FromIndex < 0 && p.Value != nil && p.SeedPath != nil {
+						// Node-granularity candidate: the probe's hits seed
+						// the compared path's re-evaluation (and the between
+						// partner's — a merged range is exact for both
+						// bounds of the provably singleton item).
+						pl.seeds = append(pl.seeds, p.SeedPath)
+						pl.seedSingle = p.SeedSingle
+						pl.seedScope = p.Scope
+						if partner >= 0 {
+							if q := a.Predicates[partner]; q.SeedPath != nil {
+								pl.seeds = append(pl.seeds, q.SeedPath)
+							}
 						}
 					}
 				}
+				e.annotateProbe(&pl, column)
 				plans = append(plans, pl)
-				e.annotateProbe(&plans[len(plans)-1])
-				d.chosen, d.chosenLabel = vi, plans[len(plans)-1].label
+				d.chosen, d.chosenLabel = vi, pl.label
 				break
 			}
 		}
@@ -276,23 +278,13 @@ func (e *Engine) planProbes(a *core.Analysis) ([]probePlan, []predDecision, erro
 	return plans, decisions, nil
 }
 
-// annotateProbe attaches the column synopsis's statistics to a freshly
-// planned probe: selectivity estimates, the short-circuit mark when the
-// pattern matches no existing path, and — for semi-joins against large
-// join tables — the probe direction decision.
-func (e *Engine) annotateProbe(pl *probePlan) {
-	pl.est, pl.estNodes = -1, -1
-	dot := strings.IndexByte(pl.coll, '.')
-	if dot < 0 {
-		return
-	}
-	syn := pl.table.Synopsis(pl.coll[dot+1:])
-	nodes, docs := syn.Match(pl.probe.QueryPattern)
-	if nodes < 0 {
-		return
-	}
-	pl.estNodes, pl.est = nodes, docs
-	if nodes == 0 {
+// annotateProbe attaches the synopsis statistics of the probed column
+// to a freshly planned probe: selectivity estimates, the short-circuit
+// mark when the pattern matches no existing path, and — for semi-joins
+// against large join tables — the probe direction decision.
+func (e *Engine) annotateProbe(pl *probePlan, column string) {
+	pl.estNodes, pl.est = pl.table.Synopsis(column).Count(pl.probe.Paths)
+	if pl.estNodes == 0 {
 		// No stored document contains the pattern, so the probe cannot
 		// produce anything. Definition-1 pre-filters only need a superset
 		// of the matching documents per occurrence — here the empty set
@@ -300,7 +292,7 @@ func (e *Engine) annotateProbe(pl *probePlan) {
 		pl.skip = true
 		return
 	}
-	if pl.semi != nil {
+	if pl.semi != nil && pl.estNodes > 0 {
 		// Semi-join direction: probing once per distinct join value wins
 		// when the value set is small, but past the value cap the probe
 		// used to degrade to "no filter". With an estimate in hand, flip
@@ -309,7 +301,7 @@ func (e *Engine) annotateProbe(pl *probePlan) {
 		if joinTab, err := e.Catalog.Table(pl.semi.table); err == nil && joinTab.Len() > defaultSemiJoinCap {
 			idx, _, _ := strings.Cut(pl.label, "(")
 			pl.label = fmt.Sprintf("%s(structural %s; direction flipped: %s.%s exceeds %d values)",
-				idx, pl.probe.QueryPattern, pl.semi.table, pl.semi.column, defaultSemiJoinCap)
+				idx, pl.probe.Paths.Pattern(), pl.semi.table, pl.semi.column, defaultSemiJoinCap)
 			pl.semi = nil
 		}
 	}
@@ -334,24 +326,15 @@ func rankProbes(plans []probePlan) {
 }
 
 // defaultSemiJoinCap bounds the number of distinct values a semi-join
-// probes when ExecOptions.SemiJoinMaxValues is unset; larger joins fall
-// back to scans.
+// probes; larger joins fall back to scans.
 const defaultSemiJoinCap = 4096
-
-// semiJoinCapFor resolves the per-execution semi-join value cap.
-func semiJoinCapFor(o ExecOptions) int {
-	if o.SemiJoinMaxValues > 0 {
-		return o.SemiJoinMaxValues
-	}
-	return defaultSemiJoinCap
-}
 
 // buildSemiJoinPlan plans a Query 13-style semi-join probe (XML path
 // compared with a SQL scalar variable): one equality probe per distinct
-// value of the join column. Only the column reference is resolved here —
-// the values themselves are gathered per execution, so a cached plan
-// sees inserts and deletes on the join table.
-func (e *Engine) buildSemiJoinPlan(p core.Predicate, xi *storage.XMLIndex, tab *storage.Table) (probePlan, bool) {
+// value of the join column, restricted to paths. Only the column
+// reference is resolved here — the values themselves are gathered per
+// execution, so a cached plan sees inserts and deletes on the join table.
+func (e *Engine) buildSemiJoinPlan(p core.Predicate, paths *pattern.PathSet, xi *storage.XMLIndex, tab *storage.Table) (probePlan, bool) {
 	joinTab, err := e.Catalog.Table(p.JoinTable)
 	if err != nil {
 		return probePlan{}, false
@@ -361,7 +344,7 @@ func (e *Engine) buildSemiJoinPlan(p core.Predicate, xi *storage.XMLIndex, tab *
 	}
 	return probePlan{
 		index: xi.Index,
-		probe: xmlindex.Probe{QueryPattern: p.Pattern},
+		probe: xmlindex.Probe{Paths: paths},
 		semi:  &semiJoinSpec{table: p.JoinTable, column: p.JoinColumn},
 		label: fmt.Sprintf("%s(semi-join %s in %s.%s)",
 			xi.Name, p.Pattern, p.JoinTable, p.JoinColumn),
@@ -371,12 +354,12 @@ func (e *Engine) buildSemiJoinPlan(p core.Predicate, xi *storage.XMLIndex, tab *
 
 // semiJoinValues gathers the distinct non-null values of the join column,
 // iterating under the table's read lock without snapshotting the rows.
-// ok=false (join table gone, or more than maxValues distinct values)
+// ok=false (join table gone, or more than defaultSemiJoinCap distinct values)
 // degrades the probe to "no filter"; a guard violation (cancellation,
 // timeout, step budget) aborts instead — the walk is proportional to the
 // join table's row count, so it must answer to the query's guard like
 // every other data-sized loop.
-func (e *Engine) semiJoinValues(g *guard.Guard, spec *semiJoinSpec, maxValues int) ([]xdm.Value, bool, error) {
+func (e *Engine) semiJoinValues(g *guard.Guard, spec *semiJoinSpec) ([]xdm.Value, bool, error) {
 	joinTab, err := e.Catalog.Table(spec.table)
 	if err != nil {
 		return nil, false, nil
@@ -401,10 +384,10 @@ func (e *Engine) semiJoinValues(g *guard.Guard, spec *semiJoinSpec, maxValues in
 		if seen[key] {
 			return true
 		}
-		// The cap check precedes the append: exactly maxValues distinct
+		// The cap check precedes the append: exactly the cap's distinct
 		// values are admitted, and one more stops the iteration early
 		// instead of collecting it first.
-		if len(values) >= maxValues {
+		if len(values) >= defaultSemiJoinCap {
 			ok = false
 			return false
 		}
@@ -422,9 +405,10 @@ func (e *Engine) semiJoinValues(g *guard.Guard, spec *semiJoinSpec, maxValues in
 }
 
 // buildProbe converts a predicate (and its between partner, if any) to an
-// index probe. It returns nil when the operator cannot probe (e.g. !=).
-func buildProbe(p core.Predicate, pi int, a *core.Analysis) (*xmlindex.Probe, string, int) {
-	probe := &xmlindex.Probe{QueryPattern: p.Pattern}
+// index probe restricted to paths, the predicate pattern's path set. It
+// returns nil when the operator cannot probe (e.g. !=).
+func buildProbe(p core.Predicate, pi int, a *core.Analysis, paths *pattern.PathSet) (*xmlindex.Probe, string, int) {
+	probe := &xmlindex.Probe{Paths: paths}
 	if p.Value == nil {
 		// Structural probe: full range.
 		return probe, "structural " + p.Pattern.String(), -1
@@ -564,7 +548,7 @@ func (e *Engine) runProbe(g *guard.Guard, pl probePlan, o ExecOptions) probeOutc
 	if pl.semi != nil {
 		// Semi-join: union of one equality probe per distinct value of
 		// the join column, gathered now — the values are data.
-		values, ok, gerr := e.semiJoinValues(g, pl.semi, semiJoinCapFor(o))
+		values, ok, gerr := e.semiJoinValues(g, pl.semi)
 		if gerr != nil {
 			out.err = gerr
 			return out
@@ -683,7 +667,7 @@ func intersectNodeScopes(plans []probePlan, outcomes []probeOutcome) {
 	groups := map[scopeKey][]int{}
 	for i, pl := range plans {
 		if nodeHits(plans, outcomes, i) && pl.seedScope > 0 && pl.seedSingle {
-			k := scopeKey{pl.coll, pl.occ, pl.seedScope, pl.probe.QueryPattern.String()}
+			k := scopeKey{pl.coll, pl.occ, pl.seedScope, pl.probe.Paths.Pattern().String()}
 			groups[k] = append(groups[k], i)
 		}
 	}

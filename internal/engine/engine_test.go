@@ -75,7 +75,7 @@ func assertEquivalentSQL(t *testing.T, e *Engine, sql string) (*Stats, *Stats) {
 }
 
 // assertEquivalentSQLOpts compares a full scan with an indexed run under
-// extra execution options (semi-join cap, cache bypass, parallelism).
+// extra execution options (prepared plans, cache bypass, parallelism).
 func assertEquivalentSQLOpts(t *testing.T, e *Engine, sql string, o ExecOptions) (*Stats, *Stats) {
 	t.Helper()
 	o.UseIndexes = false

@@ -38,10 +38,6 @@ type ExecOptions struct {
 	Prepared bool
 	// Trace collects timed execution spans on Stats.Trace.
 	Trace bool
-	// SemiJoinMaxValues caps the distinct join values a semi-join probe
-	// gathers before degrading to a full scan; <= 0 means the default
-	// (4096).
-	SemiJoinMaxValues int
 	// NoProbeCache bypasses the per-index probe-result cache (neither
 	// read nor populated) — the uncached baseline for determinism and
 	// equivalence tests.
@@ -106,9 +102,6 @@ type planKey struct {
 
 // planCacheSize bounds the number of cached plans per engine.
 const planCacheSize = 256
-
-// PlanCacheLen reports the number of cached plans (tests and monitoring).
-func (e *Engine) PlanCacheLen() int { return e.plans.Len() }
 
 // Prepare parses, analyzes, and caches the plan for a query, surfacing
 // parse and analysis errors now instead of at execution time. Probes
@@ -388,6 +381,12 @@ func (e *Engine) execSQLPlan(p *plan, o ExecOptions, stats *Stats) (*sqlxml.Resu
 	res, err := exec.ExecFiltered(p.sqlStmt, pf)
 	if err != nil {
 		return nil, nil, err
+	}
+	switch p.sqlStmt.(type) {
+	case *sqlxml.DropIndex, *sqlxml.DropTable:
+		// Every cached plan is stale; one left until its key came up
+		// again would keep the dropped index or table reachable.
+		e.plans.Clear()
 	}
 	if stats.Trace != nil {
 		label := fmt.Sprintf("%d rows, shards=%d", res.RowsScanned, res.ParallelShards)

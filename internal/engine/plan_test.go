@@ -21,7 +21,7 @@ func TestPlanCacheInvalidationOnDDL(t *testing.T) {
 	if err := e.Prepare(planQ1, LangXQuery, true); err != nil {
 		t.Fatal(err)
 	}
-	if n := e.PlanCacheLen(); n != 1 {
+	if n := e.plans.Len(); n != 1 {
 		t.Fatalf("plan cache holds %d entries after Prepare, want 1", n)
 	}
 
@@ -54,7 +54,7 @@ func TestPlanCacheInvalidationOnDDL(t *testing.T) {
 		t.Fatalf("index not used after re-CREATE INDEX: %+v", rstats)
 	}
 	// Replanning replaces the stale entry in place.
-	if n := e.PlanCacheLen(); n != 1 {
+	if n := e.plans.Len(); n != 1 {
 		t.Fatalf("plan cache holds %d entries after replan, want 1", n)
 	}
 }
@@ -92,7 +92,7 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := e.PlanCacheLen(); n != planCacheSize {
+	if n := e.plans.Len(); n != planCacheSize {
 		t.Fatalf("plan cache holds %d entries, want the cap %d", n, planCacheSize)
 	}
 }
@@ -105,36 +105,81 @@ func TestPrepareSurfacesParseErrors(t *testing.T) {
 	if err := e.Prepare(`SELEC nope`, LangSQL, false); err == nil {
 		t.Fatal("Prepare of malformed SQL must fail")
 	}
-	if n := e.PlanCacheLen(); n != 0 {
+	if n := e.plans.Len(); n != 0 {
 		t.Fatalf("failed Prepare cached %d plans", n)
 	}
 }
 
-// Exactly SemiJoinMaxValues distinct join values may probe; one more
+// Exactly defaultSemiJoinCap distinct join values may probe; one more
 // bails out of the semi-join — the occurrence stays unprobed (poisoned),
-// the scan stays full, and results must be unchanged either way.
+// the scan stays full, and results must be unchanged either way. The
+// extra value arrives after the plan is cached: a products row changes
+// no path set, so the prepared plan, still a semi-join, meets it at
+// execution.
 func TestSemiJoinCapBoundary(t *testing.T) {
 	q := `SELECT p.name, o.ordid FROM products p, orders o
 		WHERE XMLExists('$order//lineitem/product[id eq $pid]' passing o.orddoc as "order", p.id as "pid")`
-	setup := func() *Engine {
-		e := newPaperDB(t, 70)
-		mustSQL(t, e, `CREATE INDEX prod_id ON orders(orddoc) USING XMLPATTERN '//lineitem/product/id' AS varchar`)
-		mustSQL(t, e, `insert into products values ('3', 'widget'), ('5', 'gadget')`)
-		return e
+	e := newPaperDB(t, 7)
+	mustSQL(t, e, `CREATE INDEX prod_id ON orders(orddoc) USING XMLPATTERN '//lineitem/product/id' AS varchar`)
+	var b strings.Builder
+	b.WriteString(`insert into products values `)
+	for i := range defaultSemiJoinCap {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, "('%d', 'p%d')", i, i)
 	}
+	mustSQL(t, e, b.String())
+	if err := e.Prepare(q, LangSQL, true); err != nil {
+		t.Fatal(err)
+	}
+	prepared := ExecOptions{Prepared: true}
 
-	// Two distinct values: exactly at the cap.
-	_, istats := assertEquivalentSQLOpts(t, setup(), q, ExecOptions{SemiJoinMaxValues: 2})
+	// Exactly at the cap.
+	_, istats := assertEquivalentSQLOpts(t, e, q, prepared)
 	if len(istats.IndexesUsed) == 0 || !strings.Contains(istats.IndexesUsed[0], "semi-join") {
 		t.Fatalf("at the cap the semi-join must run: %v", istats.IndexesUsed)
 	}
 
-	// One past the cap.
-	_, istats = assertEquivalentSQLOpts(t, setup(), q, ExecOptions{SemiJoinMaxValues: 1})
+	// One past the cap, through the same cached plan.
+	mustSQL(t, e, fmt.Sprintf(`insert into products values ('%d', 'one more')`, defaultSemiJoinCap))
+	_, istats = assertEquivalentSQLOpts(t, e, q, prepared)
+	if istats.PlanCache != "hit" {
+		t.Fatalf("the insert must leave the prepared plan cached: plan cache %s", istats.PlanCache)
+	}
 	for _, u := range istats.IndexesUsed {
 		if strings.Contains(u, "semi-join") {
 			t.Fatalf("past the cap the semi-join must bail: %v", istats.IndexesUsed)
 		}
+	}
+}
+
+// A prepared plan decides its query pattern's paths when it is built. A
+// document that brings a new path the pattern matches must still be
+// found when the plan runs again, as a full scan finds it.
+func TestPreparedPlanSeesNewMatchingPath(t *testing.T) {
+	e := newPaperDB(t, 30)
+	createLiPrice(t, e)
+	if err := e.Prepare(planQ1, LangXQuery, true); err != nil {
+		t.Fatal(err)
+	}
+	run := func(useIndexes bool) (string, *Stats) {
+		t.Helper()
+		seq, stats, err := e.ExecXQueryOpts(planQ1, ExecOptions{UseIndexes: useIndexes, Prepared: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return xdm.SerializeSequence(seq), stats
+	}
+	run(true)
+	mustSQL(t, e, `insert into orders values (900, '<batch><order><lineitem price="500"/></order></batch>')`)
+	got, stats := run(true)
+	want, _ := run(false)
+	if len(stats.IndexesUsed) == 0 {
+		t.Fatalf("the re-run must use the index: %+v", stats)
+	}
+	if got != want || !strings.Contains(got, `price="500"`) {
+		t.Fatalf("indexed re-run differs from the full scan:\n%s\nwant\n%s", got, want)
 	}
 }
 
@@ -157,7 +202,7 @@ func TestSemiJoinValuesGuarded(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	g := guard.New(ctx, 0, guard.Limits{})
-	values, ok, err := e.semiJoinValues(g, &semiJoinSpec{table: "products", column: "id"}, 1<<20)
+	values, ok, err := e.semiJoinValues(g, &semiJoinSpec{table: "products", column: "id"})
 	if err == nil {
 		t.Fatalf("canceled guard did not abort the gather: values=%d ok=%v", len(values), ok)
 	}

@@ -147,8 +147,8 @@ func TestExplainShowsProbeCacheState(t *testing.T) {
 	}
 }
 
-// NoProbeCache and SemiJoinMaxValues ride through the public ExecOptions;
-// an uncached run after a cached one must still match.
+// NoProbeCache rides through ExecOptions; an uncached run after a
+// cached one must still match.
 func TestNoProbeCacheOptionBypasses(t *testing.T) {
 	e, q := twoProbeDB(t, 40)
 	if _, _, err := e.ExecXQueryOpts(q, ExecOptions{UseIndexes: true}); err != nil { // warm the cache

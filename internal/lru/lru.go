@@ -103,7 +103,7 @@ func (c *Cache[K, V]) Len() int {
 }
 
 // Clear drops every entry, taking them off the Size gauge without
-// counting evictions: the owner is going away.
+// counting evictions: the owner is going away, or every entry is stale.
 func (c *Cache[K, V]) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()

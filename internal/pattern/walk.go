@@ -99,12 +99,11 @@ type Dict struct {
 func NewDict() *Dict { return &Dict{ids: map[string]uint32{}} }
 
 // IDs walks doc in Walker.Walk's order and returns every node with its
-// path ID, interning the paths the dictionary has not seen, and the
-// dictionary's paths, which cover every returned ID. It takes the read
-// lock once per document, trading it at the first unseen path for the
-// write lock, which it keeps to the end of the document. The node and ID
-// slices are w's buffers, valid until w walks again.
-func (d *Dict) IDs(w *Walker, doc *xdm.Node) (nodes []*xdm.Node, ids []uint32, paths [][]Label) {
+// path ID, interning the paths the dictionary has not seen. It takes the
+// read lock once per document, trading it at the first unseen path for
+// the write lock, which it keeps to the end of the document. The node
+// and ID slices are w's buffers, valid until w walks again.
+func (d *Dict) IDs(w *Walker, doc *xdm.Node) (nodes []*xdm.Node, ids []uint32) {
 	nodes, ids = w.nodes[:0], w.ids[:0]
 	write := false
 	d.mu.RLock()
@@ -128,7 +127,7 @@ func (d *Dict) IDs(w *Walker, doc *xdm.Node) (nodes []*xdm.Node, ids []uint32, p
 		nodes, ids = append(nodes, n), append(ids, id)
 	})
 	w.nodes, w.ids = nodes, ids
-	return nodes, ids, d.paths
+	return nodes, ids
 }
 
 // add interns a path under the write lock. Another walk may have added
@@ -149,4 +148,53 @@ func (d *Dict) Paths() [][]Label {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return d.paths
+}
+
+// PathSet is a pattern's decision on a dictionary's paths: the IDs of
+// the paths it matches among the first N, decided once by Dict.Match, so
+// index maintenance, probes and the synopsis test an ID instead of
+// matching labels. Has matches an ID at or above N, a path interned
+// later, on demand and records nothing, so a set a cached plan shares
+// stays read-only; only a set's single owner may Extend it.
+type PathSet struct {
+	pat  *Pattern
+	dict *Dict
+	ids  []uint32 // the matching IDs below n, ascending
+	n    int
+	buf  [2]uint32 // ids' first array: a query pattern matches a path or two
+}
+
+// Match decides which of the dictionary's paths p matches (nil if d is).
+func (d *Dict) Match(p *Pattern) *PathSet {
+	if d == nil {
+		return nil
+	}
+	s := &PathSet{pat: p, dict: d}
+	s.ids = s.buf[:0]
+	s.Extend()
+	return s
+}
+
+// Extend decides the paths interned since the set was last decided.
+func (s *PathSet) Extend() {
+	paths := s.dict.Paths()
+	for id := s.n; id < len(paths); id++ {
+		if s.pat.Match(paths[id]) {
+			s.ids = append(s.ids, uint32(id))
+		}
+	}
+	s.n = len(paths)
+}
+
+// Pattern returns the pattern the set was decided for.
+func (s *PathSet) Pattern() *Pattern { return s.pat }
+
+// Has reports whether the set's pattern matches the path with the given
+// ID, which the dictionary must hold.
+func (s *PathSet) Has(id uint32) bool {
+	if int(id) < s.n {
+		_, ok := slices.BinarySearch(s.ids, id)
+		return ok
+	}
+	return s.pat.Match(s.dict.Paths()[id])
 }

@@ -10,7 +10,7 @@ import (
 	"github.com/xqdb/xqdb/internal/xmlindex"
 )
 
-// TestProbesDuringInsertsOfNewPaths runs query-pattern probes while
+// TestProbesDuringInsertsOfNewPaths runs path-set probes while
 // inserts bring paths the column's dictionary has not seen, so a probe
 // reads the dictionary's paths while a write interns new ones (the
 // -race build checks the locking). The probed index is the column's
@@ -32,6 +32,7 @@ func TestProbesDuringInsertsOfNewPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	dict := tab.Synopsis("d").Dict()
 	const docs = 200
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -48,7 +49,9 @@ func TestProbesDuringInsertsOfNewPaths(t *testing.T) {
 			}
 		}
 	}()
-	all := pattern.MustParse("/r/*/@v")
+	// One set shared by both probers, as a cached plan shares it: decided
+	// before the inserts, it meets nearly every path on demand.
+	all := dict.Match(pattern.MustParse("/r/*/@v"))
 	for range 2 {
 		wg.Add(1)
 		go func() {
@@ -60,7 +63,7 @@ func TestProbesDuringInsertsOfNewPaths(t *testing.T) {
 					return
 				default:
 				}
-				nodes, _, _, err := xi.Index.NodeList(xmlindex.Probe{QueryPattern: all})
+				nodes, _, _, err := xi.Index.NodeList(xmlindex.Probe{Paths: all})
 				if err != nil {
 					t.Error(err)
 					return
@@ -71,7 +74,7 @@ func TestProbesDuringInsertsOfNewPaths(t *testing.T) {
 				}
 				seen = len(nodes)
 				one := pattern.MustParse(fmt.Sprintf("/r/e%d/@v", seen/2))
-				if n, _, _, err := xi.Index.NodeList(xmlindex.Probe{QueryPattern: one}); err != nil || len(n) > 1 {
+				if n, _, _, err := xi.Index.NodeList(xmlindex.Probe{Paths: dict.Match(one)}); err != nil || len(n) > 1 {
 					t.Errorf("probe for %s: %d refs, %v", one, len(n), err)
 					return
 				}
@@ -82,8 +85,9 @@ func TestProbesDuringInsertsOfNewPaths(t *testing.T) {
 	syn := tab.Synopsis("d")
 	for i := range docs {
 		p := pattern.MustParse(fmt.Sprintf("/r/e%d/@v", i))
-		nodes, _, _, err := xi.Index.NodeList(xmlindex.Probe{QueryPattern: p})
-		if counted, _ := syn.Match(p); err != nil || len(nodes) != 1 || counted != 1 {
+		paths := dict.Match(p)
+		nodes, _, _, err := xi.Index.NodeList(xmlindex.Probe{Paths: paths})
+		if counted, _ := syn.Count(paths); err != nil || len(nodes) != 1 || counted != 1 {
 			t.Fatalf("%s: index %d refs (%v), synopsis %d nodes; want 1 and 1", p, len(nodes), err, counted)
 		}
 	}

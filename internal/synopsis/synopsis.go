@@ -35,7 +35,7 @@ type stat struct {
 
 // Synopsis is the path summary for one XML column. The zero value is not
 // usable; construct with New. All methods are safe for concurrent use
-// and nil-safe: a nil synopsis reports no knowledge (Match returns
+// and nil-safe: a nil synopsis reports no knowledge (Count returns
 // -1, -1) and ignores maintenance calls, so callers on tables built
 // without a synopsis need no special casing.
 type Synopsis struct {
@@ -117,7 +117,7 @@ func (s *Synopsis) count(delta int64, docs ...*xdm.Node) bool {
 	moved := int64(0) // paths that appeared, or minus those that went
 	for _, doc := range docs {
 		s.walks++
-		_, ids, _ := s.dict.IDs(&s.walker, doc)
+		_, ids := s.dict.IDs(&s.walker, doc)
 		for _, id := range ids {
 			for int(id) >= len(s.stats) {
 				s.stats = append(s.stats, stat{})
@@ -147,27 +147,28 @@ func (s *Synopsis) count(delta int64, docs ...*xdm.Node) bool {
 	return true
 }
 
-// Match sums the statistics of every path the pattern matches: the total
-// matching node count and the sum of per-path document counts. The node
-// count is exact (each node's rooted path matches or does not); the
-// document figure is an upper bound — a document holding two distinct
-// matching paths is counted twice — which is what a selectivity estimate
-// needs. A nil synopsis returns (-1, -1): no knowledge.
-func (s *Synopsis) Match(p *pattern.Pattern) (nodes, docs int64) {
-	if s == nil || p == nil {
+// Count sums the statistics of the paths in set, a set decided on the
+// synopsis's dictionary: the matching node count, which is exact, and
+// the sum of per-path document counts, an upper bound (a document
+// holding two matching paths counts twice), as a selectivity estimate
+// needs. A nil synopsis or set returns (-1, -1): no knowledge.
+func (s *Synopsis) Count(set *pattern.PathSet) (nodes, docs int64) {
+	if s == nil || set == nil {
 		return -1, -1
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	paths := s.dict.Paths()
 	for id, st := range s.stats {
-		if st.count != 0 && p.Match(paths[id]) {
+		if st.count != 0 && set.Has(uint32(id)) {
 			nodes += st.count
 			docs += st.docs
 		}
 	}
 	return nodes, docs
 }
+
+// Match is Count over the paths p matches now.
+func (s *Synopsis) Match(p *pattern.Pattern) (nodes, docs int64) { return s.Count(s.Dict().Match(p)) }
 
 // PathStat is one path's statistics in Paths' enumeration.
 type PathStat struct {

@@ -28,7 +28,8 @@ var agreePatterns = []string{
 // every index and the synopsis share as a column's do: every key's path
 // ID names a path the index pattern matches; on an untyped document a
 // varchar index stores, per path ID and in total, exactly the nodes the
-// synopsis counts; an Extractor produces exactly the keys InsertDoc
+// synopsis counts, and the synopsis's count over the pattern's path set
+// is the number of keys on the set's IDs; an Extractor produces exactly the keys InsertDoc
 // stores; and InsertDoc+DeleteDoc, like AddDoc+RemoveDoc, leave nothing
 // behind.
 func FuzzIndexSynopsisAgree(f *testing.F) {
@@ -70,10 +71,20 @@ func FuzzIndexSynopsisAgree(f *testing.F) {
 			}); err != nil {
 				t.Fatal(err)
 			}
+			set := dict.Match(p)
+			var inSet int64
+			for id := range dict.Paths() {
+				if set.Has(uint32(id)) {
+					inSet += perPath[uint32(id)]
+				}
+			}
+			if nodes, _ := syn.Count(set); nodes != inSet || inSet != int64(len(stored)) {
+				t.Fatalf("%s: synopsis counts %d nodes on the path set, keys on it %d of %d", agreePatterns[i], nodes, inSet, len(stored))
+			}
 			paths := dict.Paths()
 			for pathID, n := range perPath {
 				path := paths[pathID]
-				if !p.Match(path) {
+				if !p.Match(path) || !set.Has(pathID) {
 					t.Fatalf("%s: a key names path %d %v, which the pattern does not match", agreePatterns[i], pathID, path)
 				}
 				if nodes, _ := syn.Match(exactPattern(t, path)); nodes != n {

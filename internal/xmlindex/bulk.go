@@ -23,7 +23,7 @@ type Extractor struct {
 
 // NewExtractor returns an empty extractor for this index.
 func (ix *Index) NewExtractor() *Extractor {
-	return &Extractor{ix: ix}
+	return &Extractor{ix: ix, walk: pathWalk{paths: ix.dict.Match(ix.Pattern)}}
 }
 
 // AddDoc extracts the entries InsertDoc would create for doc, holding no
@@ -60,10 +60,6 @@ type BulkBuild struct {
 	tree  *btree.Tree
 	delta int
 }
-
-// Delta returns the number of entries the build adds over the index's
-// current contents.
-func (bb *BulkBuild) Delta() int { return bb.delta }
 
 // PrepareBulk merges the index's current entries with the given sorted
 // runs (from Extractor.Run) into a fresh bulk-loaded tree. The existing

@@ -89,38 +89,48 @@ func TestExtractorBulkEquivalence(t *testing.T) {
 		t.Fatal("CommitBulk with new entries did not bump the version")
 	}
 
-	if r, b := ref.Stats().Entries, bulk.Stats().Entries; r != b || bb.Delta() != b-pre {
-		t.Fatalf("entries: ref %d, bulk %d, delta %d", r, b, bb.Delta())
+	if r, b := ref.Stats().Entries, bulk.Stats().Entries; r != b || bb.delta != b-pre {
+		t.Fatalf("entries: ref %d, bulk %d, delta %d", r, b, bb.delta)
 	}
 	if got, want := scanAll(t, bulk), scanAll(t, ref); !reflect.DeepEqual(got, want) {
 		t.Fatalf("structural scan diverged:\nbulk %v\nref  %v", got, want)
 	}
-	for _, p := range []Probe{
-		{Range: Equality(xdm.NewDouble(7))},
-		{Range: Range{Lo: dbl(1000), LoInc: true}},
-		{Range: Range{Lo: dbl(5), Hi: dbl(20), LoInc: true, HiInc: false}},
+	for _, p := range []struct {
+		r Range
+		q string
+	}{
+		{r: Equality(xdm.NewDouble(7))},
+		{r: Range{Lo: dbl(1000), LoInc: true}},
+		{r: Range{Lo: dbl(5), Hi: dbl(20), LoInc: true, HiInc: false}},
 		// Query pattern more restrictive than the index pattern: only
 		// the archive-nested lineitems. This probes the path IDs the
 		// extractors stamp — a wrong ID mislabels paths and filters the
 		// wrong entries.
-		{QueryPattern: pattern.MustParse("/order/archive/lineitem/@price")},
+		{q: "/order/archive/lineitem/@price"},
 	} {
-		want, _, err := scanEntries(ref, p)
+		// Each index resolves the query pattern in its own dictionary.
+		probe := func(ix *Index) Probe {
+			if p.q == "" {
+				return Probe{Range: p.r, NoCache: true}
+			}
+			return Probe{Range: p.r, Paths: pathsOf(ix, p.q), NoCache: true}
+		}
+		want, _, err := scanEntries(ref, probe(ref))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := scanEntries(bulk, p)
+		got, _, err := scanEntries(bulk, probe(bulk))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("probe %+v diverged:\nbulk %v\nref  %v", p, got, want)
 		}
-		wd, _, _, err := ref.DocList(Probe{Range: p.Range, QueryPattern: p.QueryPattern, NoCache: true})
+		wd, _, _, err := ref.DocList(probe(ref))
 		if err != nil {
 			t.Fatal(err)
 		}
-		gd, _, _, err := bulk.DocList(Probe{Range: p.Range, QueryPattern: p.QueryPattern, NoCache: true})
+		gd, _, _, err := bulk.DocList(probe(bulk))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,8 +186,8 @@ func TestCommitBulkNoChangeKeepsVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix.CommitBulk(bb)
-	if bb.Delta() != 0 || ix.Version() != v {
-		t.Fatalf("no-op bulk build: delta %d, version %d -> %d", bb.Delta(), v, ix.Version())
+	if bb.delta != 0 || ix.Version() != v {
+		t.Fatalf("no-op bulk build: delta %d, version %d -> %d", bb.delta, v, ix.Version())
 	}
 }
 

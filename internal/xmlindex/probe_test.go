@@ -79,7 +79,7 @@ func TestDocListMatchesDocSet(t *testing.T) {
 		{Range: Range{Lo: dbl(40), LoInc: true, Hi: dbl(115), HiInc: true}},
 		{Range: Equality(xdm.NewDouble(150))},
 		{}, // structural: full range
-		{Range: Range{Lo: dbl(100)}, QueryPattern: pattern.MustParse("/order/lineitem/@price")},
+		{Range: Range{Lo: dbl(100)}, Paths: pathsOf(ix, "/order/lineitem/@price")},
 	}
 	for i, p := range probes {
 		want, _, err := docSetStats(ix, p)
@@ -243,16 +243,20 @@ func TestProbeCacheConfiguredCapacity(t *testing.T) {
 }
 
 // Distinct bounds must never collide to one cache key: the key uses
-// length-prefixed bound encodings and the query-pattern source.
+// length-prefixed bound encodings and the query-pattern source. The two
+// path sets are decided on an empty dictionary, so they hold the same
+// (no) IDs: their patterns still disagree on paths interned later, and
+// so must their keys.
 func TestProbeKeyDistinguishesBounds(t *testing.T) {
+	dict := pattern.NewDict()
 	keys := map[string]bool{
-		probeKey([]byte{1, 2}, []byte{3}, nil):                     true,
-		probeKey([]byte{1}, []byte{2, 3}, nil):                     true,
-		probeKey([]byte{1, 2, 3}, nil, nil):                        true,
-		probeKey(nil, []byte{1, 2, 3}, nil):                        true,
-		probeKey(nil, nil, nil):                                    true,
-		probeKey(nil, nil, pattern.MustParse("//lineitem/@price")): true,
-		probeKey(nil, nil, pattern.MustParse("/order/lineitem")):   true,
+		probeKey([]byte{1, 2}, []byte{3}, nil):                                 true,
+		probeKey([]byte{1}, []byte{2, 3}, nil):                                 true,
+		probeKey([]byte{1, 2, 3}, nil, nil):                                    true,
+		probeKey(nil, []byte{1, 2, 3}, nil):                                    true,
+		probeKey(nil, nil, nil):                                                true,
+		probeKey(nil, nil, dict.Match(pattern.MustParse("//lineitem/@price"))): true,
+		probeKey(nil, nil, dict.Match(pattern.MustParse("/order/lineitem"))):   true,
 	}
 	if len(keys) != 7 {
 		t.Fatalf("probe keys collided: %d distinct of 7", len(keys))
@@ -297,7 +301,7 @@ func TestNodeListMatchesScanEntries(t *testing.T) {
 		{Range: Range{Lo: dbl(40), LoInc: true, Hi: dbl(115), HiInc: true}},
 		{Range: Equality(xdm.NewDouble(150))},
 		{},
-		{Range: Range{Lo: dbl(100)}, QueryPattern: pattern.MustParse("/order/lineitem/@price")},
+		{Range: Range{Lo: dbl(100)}, Paths: pathsOf(ix, "/order/lineitem/@price")},
 	}
 	for i, p := range probes {
 		p.NoCache = true
@@ -417,16 +421,18 @@ func TestProbeCacheSharedAcrossProjections(t *testing.T) {
 // sequence, what the cache serves at either projection equals the
 // uncached answer, and the document list is the node list's projection.
 func TestProbeCacheNeverStaleProperty(t *testing.T) {
-	probes := []Probe{
-		{Range: Range{Lo: dbl(100)}},
-		{Range: Range{Lo: dbl(40), LoInc: true, Hi: dbl(115), HiInc: true}},
-		{Range: Equality(xdm.NewDouble(150))},
-		{},
-		{Range: Range{Lo: dbl(60)}, QueryPattern: pattern.MustParse("/order/lineitem/@price")},
-	}
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		ix := liPrice(t)
+		// The path set is decided on the empty dictionary, so every path
+		// it meets is one interned after it.
+		probes := []Probe{
+			{Range: Range{Lo: dbl(100)}},
+			{Range: Range{Lo: dbl(40), LoInc: true, Hi: dbl(115), HiInc: true}},
+			{Range: Equality(xdm.NewDouble(150))},
+			{},
+			{Range: Range{Lo: dbl(60)}, Paths: pathsOf(ix, "/order/lineitem/@price")},
+		}
 		// From smaller than the probe set (evictions interleave with
 		// invalidations) to large enough to keep every entry.
 		ix.cache = lru.New[string, Hits](3+rng.Intn(4), lru.Metrics{})
@@ -496,13 +502,13 @@ func TestProbeCacheHitAllocatesNothing(t *testing.T) {
 	ix := liPrice(t)
 	insert(t, ix, 1, `<order><lineitem price="150"/><lineitem price="130"/></order>`)
 	insert(t, ix, 2, `<order><lineitem price="120"/></order>`)
-	p := Probe{Range: Range{Lo: dbl(100), LoInc: true, Hi: dbl(160)}, QueryPattern: pattern.MustParse("/order/lineitem/@price")}
+	p := Probe{Range: Range{Lo: dbl(100), LoInc: true, Hi: dbl(160)}, Paths: pathsOf(ix, "/order/lineitem/@price")}
 	if _, _, _, err := ix.NodeList(p); err != nil {
 		t.Fatal(err)
 	}
 	keyAllocs := testing.AllocsPerRun(200, func() {
 		lo, hi, _, _ := ix.bounds(p.Range)
-		_ = probeKey(lo, hi, p.QueryPattern)
+		_ = probeKey(lo, hi, p.Paths)
 	})
 	docAllocs := testing.AllocsPerRun(200, func() {
 		if docs, _, cached, _ := ix.DocList(p); !cached || len(docs) != 2 {

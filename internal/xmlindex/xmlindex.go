@@ -165,7 +165,8 @@ func (ix *Index) Drop() {
 // name paths by their IDs in dict, the indexed column's path dictionary.
 func New(name string, pat *pattern.Pattern, typ Type, dict *pattern.Dict) *Index {
 	return &Index{Name: name, Pattern: pat, Type: typ, faultSite: "xmlindex.scan:" + name,
-		tree: btree.New(), dict: dict, cache: lru.New[string, Hits](probeCacheSize, lru.Metrics{})}
+		tree: btree.New(), dict: dict, walk: pathWalk{paths: dict.Match(pat)},
+		cache: lru.New[string, Hits](probeCacheSize, lru.Metrics{})}
 }
 
 // Version returns the entry-set version counter. It moves only when an
@@ -180,27 +181,12 @@ func (ix *Index) Stats() Stats {
 }
 
 // pathWalk is one owner's walk of the column dictionary: the walker's
-// buffers and the index pattern's verdict per path ID, memoised so the
-// matcher runs once per path rather than once per node. The index keeps
-// one under its lock; each extractor keeps its own.
+// buffers and the index pattern's path set, extended as the dictionary
+// grows, so the matcher runs once per path, not per node. The index
+// keeps one under its lock; each extractor keeps its own.
 type pathWalk struct {
-	walker  pattern.Walker
-	verdict []int8 // by path ID: 0 not yet asked, 1 matches, -1 does not
-}
-
-// match reports whether pat matches the path with the given labels and
-// ID.
-func (w *pathWalk) match(pat *pattern.Pattern, labels []pattern.Label, id uint32) bool {
-	for int(id) >= len(w.verdict) {
-		w.verdict = append(w.verdict, 0)
-	}
-	if w.verdict[id] == 0 {
-		w.verdict[id] = -1
-		if pat.Match(labels) {
-			w.verdict[id] = 1
-		}
-	}
-	return w.verdict[id] > 0
+	walker pattern.Walker
+	paths  *pattern.PathSet
 }
 
 // indexableValue computes the value an entry stores for node n, taking the
@@ -228,9 +214,10 @@ func (ix *Index) indexableValue(n *xdm.Node) (xdm.Value, bool, error) {
 // and reported as the error (§3.10 footnote), after the walk completes.
 func (ix *Index) extract(w *pathWalk, docID uint32, doc *xdm.Node, keys [][]byte) ([][]byte, error) {
 	var listErr error
-	nodes, ids, paths := ix.dict.IDs(&w.walker, doc)
+	nodes, ids := ix.dict.IDs(&w.walker, doc)
+	w.paths.Extend()
 	for i, n := range nodes {
-		if !w.match(ix.Pattern, paths[ids[i]], ids[i]) {
+		if !w.paths.Has(ids[i]) {
 			continue
 		}
 		v, ok, err := ix.indexableValue(n)
@@ -302,10 +289,10 @@ func Equality(v xdm.Value) Range {
 // Probe is one index scan request.
 type Probe struct {
 	Range Range
-	// QueryPattern, when non-nil, restricts results to entries whose
-	// concrete node path also matches it (the query's navigation may be
-	// more restrictive than the index pattern).
-	QueryPattern *pattern.Pattern
+	// Paths, when non-nil, is the query pattern's set in the column
+	// dictionary: results keep the entries whose node path is in it (the
+	// query may navigate more restrictively than the index pattern).
+	Paths *pattern.PathSet
 	// Guard, when non-nil, is checked periodically during the B+Tree
 	// scan so canceled or timed-out queries abort mid-probe.
 	//xqvet:cachekey-ok cancellation only: the guard aborts a scan, it never changes a completed scan's result
@@ -331,27 +318,18 @@ type Hits struct {
 // are ordered [value][pathID][docID][nodeID], so within one (value,
 // path) run the packed suffixes arrive strictly ascending — one
 // run-merge at the end handles the restarts across values and paths.
-// paths is the column dictionary's paths as the probe started: the probe
-// holds the index read lock, so every path ID in the tree is among them.
+// paths, when non-nil, is the probe's path set; every path ID in the
+// tree is in the column dictionary, so Has can answer it.
 type collector struct {
-	pat      *pattern.Pattern
-	paths    [][]pattern.Label
-	g        *guard.Guard
-	verdicts map[uint32]bool //xqvet:docset-ok pathID → pattern verdict, not a doc set
-	nodes    []uint64
+	paths *pattern.PathSet
+	g     *guard.Guard
+	nodes []uint64
 }
 
 func (c *collector) Visit(key, _ []byte) bool {
 	pathID, docID, nodeID := decodeSuffix(key)
-	if c.pat != nil {
-		v, ok := c.verdicts[pathID]
-		if !ok {
-			v = c.pat.Match(c.paths[pathID])
-			c.verdicts[pathID] = v
-		}
-		if !v {
-			return true
-		}
+	if c.paths != nil && !c.paths.Has(pathID) {
+		return true
 	}
 	c.nodes = append(c.nodes, postings.PackNode(docID, nodeID))
 	return true
@@ -366,7 +344,7 @@ var refBufs = sync.Pool{New: func() any { return new([]uint64) }}
 // Hits runs one index scan request: the result in both its views (the
 // node list and its document projection, held side by side by the decode
 // and the probe cache), the number of B+Tree keys visited (including
-// entries the query-pattern restriction rejected; 0 on a cache hit), and
+// entries the path-set restriction rejected; 0 on a cache hit), and
 // whether the result came from the probe cache. The count is returned
 // per probe so concurrent queries' statistics stay independent. Both
 // lists are shared with the cache and must not be mutated.
@@ -392,18 +370,14 @@ func (ix *Index) Hits(p Probe) (Hits, int, bool, error) {
 	useCache := !p.NoCache && !ix.dropped
 	var key string
 	if useCache {
-		key = probeKey(lo, hi, p.QueryPattern)
+		key = probeKey(lo, hi, p.Paths)
 		if res, ok := ix.cache.Get(key, version); ok {
 			return res, 0, true, nil
 		}
 	}
 	buf := refBufs.Get().(*[]uint64)
 	defer refBufs.Put(buf)
-	c := collector{pat: p.QueryPattern, g: p.Guard, nodes: (*buf)[:0]}
-	if p.QueryPattern != nil {
-		c.paths = ix.dict.Paths()
-		c.verdicts = map[uint32]bool{} //xqvet:docset-ok pathID verdict cache, see the field
-	}
+	c := collector{paths: p.Paths, g: p.Guard, nodes: (*buf)[:0]}
 	visited, err := ix.tree.ScanVisit(lo, hi, &c)
 	// Room for a copy, so a sort of many runs needs no scratch of its own.
 	*buf = slices.Grow(c.nodes, len(c.nodes))
@@ -427,23 +401,15 @@ func (ix *Index) Hits(p Probe) (Hits, int, bool, error) {
 	return res, visited, false, nil
 }
 
-// NodeList runs a probe at node granularity: every matching index entry
-// contributes its packed (docID, ordinal) reference, so the caller knows
-// not just which documents hold a hit but exactly which nodes matched.
-// Returns the sorted node list, the visited-key count, and whether the
-// result came from the probe cache (visited is 0 on a hit). The returned
-// list is shared with the cache and must not be mutated.
+// NodeList runs a probe and returns the node view of its Hits: the
+// sorted packed (docID, ordinal) reference of every matching entry.
 func (ix *Index) NodeList(p Probe) (postings.NodeList, int, bool, error) {
 	res, visited, cached, err := ix.Hits(p)
 	return res.Nodes, visited, cached, err
 }
 
-// DocList runs a probe and returns the distinct matching document ids as
-// a sorted posting list — the document pre-filter I(P, D) of
-// Definition 1, always equal to NodeList(p).Docs() — plus the
-// visited-key count and whether the result came from the probe cache
-// (visited is 0 on a hit). The returned list is shared with the cache
-// and must not be mutated.
+// DocList runs a probe and returns the document view of its Hits: the
+// distinct matching document ids, the pre-filter I(P, D) of Definition 1.
 func (ix *Index) DocList(p Probe) (postings.List, int, bool, error) {
 	res, visited, cached, err := ix.Hits(p)
 	return res.Docs, visited, cached, err
@@ -459,18 +425,20 @@ func (ix *Index) ProbeCached(p Probe) bool {
 	if err != nil || empty {
 		return false
 	}
-	return ix.cache.Peek(probeKey(lo, hi, p.QueryPattern), ix.version.Load())
+	return ix.cache.Peek(probeKey(lo, hi, p.Paths), ix.version.Load())
 }
 
 // probeKey builds the cache key for a probe: the encoded B+Tree bounds
 // (length-prefixed, so binary bounds cannot collide across the
-// separator) and the query-pattern source.
-func probeKey(lo, hi []byte, pat *pattern.Pattern) string {
+// separator) and the path set's pattern source. Not the set's IDs: two
+// patterns matching the same IDs can differ on a path interned later,
+// and cached results are versioned by the index, not the dictionary.
+func probeKey(lo, hi []byte, paths *pattern.PathSet) string {
 	b := make([]byte, 0, len(lo)+len(hi)+16)
 	b = appendLenPrefixed(b, lo)
 	b = appendLenPrefixed(b, hi)
-	if pat != nil {
-		b = append(b, pat.String()...)
+	if paths != nil {
+		b = append(b, paths.Pattern().String()...)
 	}
 	return string(b)
 }

@@ -16,6 +16,11 @@ func liPrice(t *testing.T) *Index {
 	return New("li_price", pattern.MustParse("//lineitem/@price"), Double, pattern.NewDict())
 }
 
+// pathsOf resolves a query pattern against ix's column dictionary.
+func pathsOf(ix *Index, src string) *pattern.PathSet {
+	return ix.dict.Match(pattern.MustParse(src))
+}
+
 func insert(t *testing.T, ix *Index, docID uint32, src string) *xdm.Node {
 	t.Helper()
 	doc, err := xmlparse.Parse(src)
@@ -50,7 +55,7 @@ func scanEntries(ix *Index, p Probe) ([]Entry, int, error) {
 	var out []Entry
 	visited, err := ix.tree.ScanCheck(lo, hi, nil, func(key, _ []byte) bool {
 		pathID, docID, nodeID := decodeSuffix(key)
-		if p.QueryPattern == nil || p.QueryPattern.Match(ix.dict.Paths()[pathID]) {
+		if p.Paths == nil || p.Paths.Pattern().Match(ix.dict.Paths()[pathID]) {
 			out = append(out, Entry{DocID: docID, NodeID: nodeID})
 		}
 		return true
@@ -205,8 +210,7 @@ func TestQueryPatternRestriction(t *testing.T) {
 	ix := liPrice(t)
 	insert(t, ix, 1, `<order><lineitem price="200"/></order>`)
 	insert(t, ix, 2, `<quote><lineitem price="300"/></quote>`)
-	qp := pattern.MustParse("//order/lineitem/@price")
-	docs, err := docSet(ix, Probe{Range: Range{Lo: dbl(100)}, QueryPattern: qp})
+	docs, err := docSet(ix, Probe{Range: Range{Lo: dbl(100)}, Paths: pathsOf(ix, "//order/lineitem/@price")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,8 +393,7 @@ func TestBroadAttributeIndex(t *testing.T) {
 	if ix.Stats().Entries != 2 {
 		t.Fatalf("entries = %d, want 2", ix.Stats().Entries)
 	}
-	qp := pattern.MustParse("//b/@z")
-	docs, err := docSet(ix, Probe{Range: Equality(xdm.NewDouble(3)), QueryPattern: qp})
+	docs, err := docSet(ix, Probe{Range: Equality(xdm.NewDouble(3)), Paths: pathsOf(ix, "//b/@z")})
 	if err != nil || len(docs) != 1 {
 		t.Fatalf("broad index probe = %v %v", docs, err)
 	}

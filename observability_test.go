@@ -499,6 +499,31 @@ func TestDropReturnsGauges(t *testing.T) {
 	}
 }
 
+// DROP INDEX and DROP TABLE empty the plan cache: a cached plan left
+// there until its key came up again would keep the dropped index, its
+// B+Tree and the table reachable.
+func TestDropClearsPlanCache(t *testing.T) {
+	db := Open()
+	createProbed(t, db, true)
+	for _, q := range []string{dropProbe, `db2-fn:xmlcolumn("ORDERS.ORDDOC")//order[lineitem/@price > 120]`} {
+		stmt, err := db.PrepareXQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := stmt.Exec(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := db.MetricsSnapshot().Gauges["plancache.size"]; n != 2 {
+		t.Fatalf("plancache.size = %d after two prepared probes, want 2", n)
+	}
+	db.MustExecSQL(`drop index li_price`)
+	db.MustExecSQL(`drop table orders`)
+	if n := db.MetricsSnapshot().Gauges["plancache.size"]; n != 0 {
+		t.Fatalf("plancache.size = %d after the drops, want 0", n)
+	}
+}
+
 // A prepared probe loop racing DROP INDEX and DROP TABLE, each probe
 // through a plan fetched before the drop, leaves no counted entry.
 func TestDropReturnsGaugesUnderProbes(t *testing.T) {
