@@ -74,8 +74,9 @@ loadtest:
 # kernel against its map-based reference, path sets against the
 # matcher they replace, the seed survivor filter
 # against a linear Contains filter, the posting-list kernels against
-# their reference bodies, the index/synopsis agreement check and the
-# SQL parser run on through EXPLAIN and guarded execution;
+# their reference bodies, the index/synopsis agreement check, bulk
+# appends against per-row inserts and the SQL parser run on through
+# EXPLAIN and guarded execution;
 # failures become seed corpus regressions under testdata/fuzz/.
 FUZZTIME ?= 15s
 
@@ -91,6 +92,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzNextInDocsAgainstContains -fuzztime=$(FUZZTIME) ./internal/postings
 	$(GO) test -run='^$$' -fuzz=FuzzKernelsAgainstReference -fuzztime=$(FUZZTIME) ./internal/postings
 	$(GO) test -run='^$$' -fuzz=FuzzIndexSynopsisAgree -fuzztime=$(FUZZTIME) ./internal/xmlindex
+	$(GO) test -run='^$$' -fuzz=FuzzBulkAppendMatchesInsert -fuzztime=$(FUZZTIME) ./internal/storage
 	$(GO) test -run='^$$' -fuzz=FuzzSQLParse -fuzztime=$(FUZZTIME) .
 
 # loc prints the line counts a change reports: non-test Go outside bench/

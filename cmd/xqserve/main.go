@@ -45,7 +45,6 @@ func main() {
 		addr       = flag.String("addr", ":8080", "listen address")
 		demo       = flag.Int("demo", 0, "seed the demo orders schema with n generated documents")
 		load       = flag.String("load", "", "load .xml files into a table: table=dir")
-		loadPar    = flag.Int("load-parallelism", 0, "parse workers for -load (0 = GOMAXPROCS, 1 = serial)")
 		inflight   = flag.Int("max-inflight", 16, "global concurrent-query budget")
 		queue      = flag.Int("max-queue", 64, "bounded wait-queue capacity (negative disables queuing)")
 		maxWait    = flag.Duration("max-wait", time.Second, "longest a request may sit queued")
@@ -58,7 +57,7 @@ func main() {
 		drainFor   = flag.Duration("drain-timeout", 10*time.Second, "grace for in-flight queries on SIGTERM before force-cancel")
 	)
 	flag.Parse()
-	if err := run(*addr, *demo, *load, *loadPar, server.Config{
+	if err := run(*addr, *demo, *load, server.Config{
 		Admission: admission.Config{
 			MaxInFlight: *inflight,
 			MaxQueue:    *queue,
@@ -76,8 +75,8 @@ func main() {
 	}
 }
 
-func run(addr string, demo int, load string, loadPar int, cfg server.Config, drainFor time.Duration) error {
-	db := xqdb.Open(xqdb.WithLoadParallelism(loadPar))
+func run(addr string, demo int, load string, cfg server.Config, drainFor time.Duration) error {
+	db := xqdb.Open()
 	if demo > 0 {
 		if err := seedDemo(db, demo); err != nil {
 			return fmt.Errorf("seeding demo corpus: %w", err)

@@ -109,12 +109,12 @@ func (e *Engine) answer(a *answerSource, g *guard.Guard, o ExecOptions, stats *S
 		if o.NoIndexOnly || annotatedColumn(a.table, a.q.Collection) {
 			return nil, false, nil
 		}
-		list, cached, ok, err := indexProbe(a.index.NodeList, a.probe, g, o, stats)
+		hits, cached, ok, err := indexProbe(a.index, a.probe, g, o, stats)
 		if !ok {
 			return nil, false, err // non-castable bound: evaluate normally
 		}
-		nodes = int64(len(list))
-		stats.NodesDecoded += len(list)
+		nodes = int64(len(hits.Nodes))
+		stats.NodesDecoded += len(hits.Nodes)
 		stats.IndexOnlyAnswered = true
 		label = cachedLabel(label+" [index-only]", cached)
 	}

@@ -279,9 +279,8 @@ func (e *Engine) planProbes(a *core.Analysis) ([]probePlan, []predDecision, erro
 }
 
 // annotateProbe attaches the synopsis statistics of the probed column
-// to a freshly planned probe: selectivity estimates, the short-circuit
-// mark when the pattern matches no existing path, and — for semi-joins
-// against large join tables — the probe direction decision.
+// to a freshly planned probe: selectivity estimates and the
+// short-circuit mark when the pattern matches no existing path.
 func (e *Engine) annotateProbe(pl *probePlan, column string) {
 	pl.estNodes, pl.est = pl.table.Synopsis(column).Count(pl.probe.Paths)
 	if pl.estNodes == 0 {
@@ -290,20 +289,6 @@ func (e *Engine) annotateProbe(pl *probePlan, column string) {
 		// of the matching documents per occurrence — here the empty set
 		// is exact.
 		pl.skip = true
-		return
-	}
-	if pl.semi != nil && pl.estNodes > 0 {
-		// Semi-join direction: probing once per distinct join value wins
-		// when the value set is small, but past the value cap the probe
-		// used to degrade to "no filter". With an estimate in hand, flip
-		// direction instead: one structural probe over the pattern still
-		// pre-filters to the documents containing it.
-		if joinTab, err := e.Catalog.Table(pl.semi.table); err == nil && joinTab.Len() > defaultSemiJoinCap {
-			idx, _, _ := strings.Cut(pl.label, "(")
-			pl.label = fmt.Sprintf("%s(structural %s; direction flipped: %s.%s exceeds %d values)",
-				idx, pl.probe.Paths.Pattern(), pl.semi.table, pl.semi.column, defaultSemiJoinCap)
-			pl.semi = nil
-		}
 	}
 }
 
@@ -325,8 +310,8 @@ func rankProbes(plans []probePlan) {
 	})
 }
 
-// defaultSemiJoinCap bounds the number of distinct values a semi-join
-// probes; larger joins fall back to scans.
+// defaultSemiJoinCap bounds the rows of a join table a semi-join probes
+// one value at a time; past it the probe flips direction (runProbe).
 const defaultSemiJoinCap = 4096
 
 // buildSemiJoinPlan plans a Query 13-style semi-join probe (XML path
@@ -354,14 +339,15 @@ func (e *Engine) buildSemiJoinPlan(p core.Predicate, paths *pattern.PathSet, xi 
 
 // semiJoinValues gathers the distinct non-null values of the join column,
 // iterating under the table's read lock without snapshotting the rows.
-// ok=false (join table gone, or more than defaultSemiJoinCap distinct values)
-// degrades the probe to "no filter"; a guard violation (cancellation,
-// timeout, step budget) aborts instead — the walk is proportional to the
-// join table's row count, so it must answer to the query's guard like
-// every other data-sized loop.
+// ok=false (join table gone, or more than defaultSemiJoinCap rows, read
+// before any value is gathered) flips the probe's direction; a row
+// inserted between that count and the walk only adds one more probe. A
+// guard violation (cancellation, timeout, step budget) aborts instead —
+// the walk is proportional to the join table's row count, so it must
+// answer to the query's guard like every other data-sized loop.
 func (e *Engine) semiJoinValues(g *guard.Guard, spec *semiJoinSpec) ([]xdm.Value, bool, error) {
 	joinTab, err := e.Catalog.Table(spec.table)
-	if err != nil {
+	if err != nil || joinTab.Len() > defaultSemiJoinCap {
 		return nil, false, nil
 	}
 	ci, err := joinTab.ColumnIndex(spec.column)
@@ -370,7 +356,6 @@ func (e *Engine) semiJoinValues(g *guard.Guard, spec *semiJoinSpec) ([]xdm.Value
 	}
 	seen := map[string]bool{}
 	var values []xdm.Value
-	ok := true
 	var gerr error
 	joinTab.ForEachRow(func(row *storage.Row) bool {
 		if gerr = g.Step(); gerr != nil {
@@ -384,22 +369,12 @@ func (e *Engine) semiJoinValues(g *guard.Guard, spec *semiJoinSpec) ([]xdm.Value
 		if seen[key] {
 			return true
 		}
-		// The cap check precedes the append: exactly the cap's distinct
-		// values are admitted, and one more stops the iteration early
-		// instead of collecting it first.
-		if len(values) >= defaultSemiJoinCap {
-			ok = false
-			return false
-		}
 		seen[key] = true
 		values = append(values, cell.V)
 		return true
 	})
 	if gerr != nil {
 		return nil, false, gerr
-	}
-	if !ok {
-		return nil, false, nil
 	}
 	return values, true, nil
 }
@@ -480,9 +455,9 @@ type probeOutcome struct {
 	nodes  postings.NodeList
 	label  string
 	cached bool
-	// ok=false marks a non-probeable outcome (semi-join too large, bound
-	// does not cast): the occurrence stays unprobed and poisons its
-	// collection below — a full scan, never a wrong answer.
+	// ok=false marks a non-probeable outcome (a bound that does not
+	// cast): the occurrence stays unprobed and poisons its collection
+	// below — a full scan, never a wrong answer.
 	ok bool
 	// skipped marks a probe the synopsis short-circuited: ok with an
 	// empty document set, zero index work.
@@ -495,30 +470,29 @@ type probeOutcome struct {
 	stats Stats
 }
 
-// indexProbe runs one index probe on behalf of a query: view is the
-// index's NodeList or DocList, whichever projection of the probe result
-// the caller consumes. The probe runs under the query's guard and
-// probe-cache knob and is counted into st, failed or not — the index
-// work that ran before an error is real work. A guard violation
-// (cancellation or timeout mid-scan) is the only error: it aborts the
-// query and must not degrade into "no filter". ok=false without an error
-// marks a bound that does not cast to the index type (a constant that
-// type checking should have rejected, a join value that is not a
-// number): the caller treats the probe as non-probeable or as matching
-// nothing, never as a failure.
-func indexProbe[L any](view func(xmlindex.Probe) (L, int, bool, error), p xmlindex.Probe, g *guard.Guard, o ExecOptions, st *Stats) (list L, cached, ok bool, err error) {
+// indexProbe runs one index probe on behalf of a query; the caller
+// reads the view of the hits it consumes. The probe runs under the
+// query's guard and probe-cache knob and is counted into st, failed or
+// not — the index work that ran before an error is real work. A guard
+// violation (cancellation or timeout mid-scan) is the only error: it
+// aborts the query and must not degrade into "no filter". ok=false
+// without an error marks a bound that does not cast to the index type (a
+// constant that type checking should have rejected, a join value that
+// is not a number): the caller treats the probe as non-probeable or as
+// matching nothing, never as a failure.
+func indexProbe(ix *xmlindex.Index, p xmlindex.Probe, g *guard.Guard, o ExecOptions, st *Stats) (hits xmlindex.Hits, cached, ok bool, err error) {
 	p.Guard = g
 	p.NoCache = o.NoProbeCache
-	list, visited, cached, err := view(p)
+	hits, visited, cached, err := ix.Hits(p)
 	st.Probes++
 	st.KeysVisited += visited
 	if err != nil {
 		if _, isViolation := guard.AsViolation(err); !isViolation {
 			err = nil
 		}
-		return list, false, false, err
+		return hits, false, false, err
 	}
-	return list, cached, true, nil
+	return hits, cached, true, nil
 }
 
 // cachedLabel marks a probe label whose result came from the probe cache.
@@ -545,23 +519,32 @@ func (e *Engine) runProbe(g *guard.Guard, pl probePlan, o ExecOptions) probeOutc
 		out.label += " [skipped: no matching path in synopsis]"
 		return out
 	}
+	var values []xdm.Value
+	semi := false
 	if pl.semi != nil {
+		var err error
+		if values, semi, err = e.semiJoinValues(g, pl.semi); err != nil {
+			out.err = err
+			return out
+		}
+		if !semi {
+			// Past the value cap, flip direction: one structural probe
+			// over the pattern's paths still pre-filters to the
+			// documents containing it.
+			out.label = fmt.Sprintf("%s(structural %s; direction flipped: %s.%s exceeds %d values)",
+				pl.index.Name, pl.probe.Paths.Pattern(), pl.semi.table, pl.semi.column, defaultSemiJoinCap)
+		}
+	}
+	switch {
+	case semi:
 		// Semi-join: union of one equality probe per distinct value of
 		// the join column, gathered now — the values are data.
-		values, ok, gerr := e.semiJoinValues(g, pl.semi)
-		if gerr != nil {
-			out.err = gerr
-			return out
-		}
-		if !ok {
-			return out
-		}
 		lists := make([]postings.List, 0, len(values))
 		out.cached = len(values) > 0
 		for _, v := range values {
 			probe := pl.probe
 			probe.Range = xmlindex.Equality(v)
-			docs, cached, ok, err := indexProbe(pl.index.DocList, probe, g, o, &out.stats)
+			hits, cached, ok, err := indexProbe(pl.index, probe, g, o, &out.stats)
 			if err != nil {
 				out.err = err
 				return out
@@ -570,29 +553,29 @@ func (e *Engine) runProbe(g *guard.Guard, pl probePlan, o ExecOptions) probeOutc
 				continue // non-castable join value matches nothing
 			}
 			out.cached = out.cached && cached
-			lists = append(lists, docs)
+			lists = append(lists, hits.Docs)
 		}
 		out.docs = postings.Union(lists...)
 		out.label = fmt.Sprintf("%s, %d values)", strings.TrimSuffix(pl.label, ")"), len(values))
-	} else if len(pl.seeds) > 0 && !o.NoNodeSeeds && !annotatedColumn(pl.table, pl.coll) {
+	case len(pl.seeds) > 0 && !o.NoNodeSeeds && !annotatedColumn(pl.table, pl.coll):
 		// Node granularity: the same probe also names the matched nodes,
 		// so the hits can seed re-evaluation. The document projection
 		// keeps the Definition-1 pre-filter identical to the doc-granular
 		// probe.
-		hits, cached, ok, err := indexProbe(pl.index.Hits, pl.probe, g, o, &out.stats)
+		hits, cached, ok, err := indexProbe(pl.index, pl.probe, g, o, &out.stats)
 		if !ok {
 			out.err = err
 			return out
 		}
 		out.nodes, out.docs, out.cached = hits.Nodes, hits.Docs, cached
 		out.label += fmt.Sprintf(" [node-granular: %d nodes]", len(hits.Nodes))
-	} else {
-		docs, cached, ok, err := indexProbe(pl.index.DocList, pl.probe, g, o, &out.stats)
+	default:
+		hits, cached, ok, err := indexProbe(pl.index, pl.probe, g, o, &out.stats)
 		if !ok {
 			out.err = err
 			return out
 		}
-		out.docs, out.cached = docs, cached
+		out.docs, out.cached = hits.Docs, cached
 	}
 	out.ok = true
 	out.label = cachedLabel(out.label, out.cached)

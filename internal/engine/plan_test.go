@@ -152,6 +152,10 @@ func TestSemiJoinCapBoundary(t *testing.T) {
 			t.Fatalf("past the cap the semi-join must bail: %v", istats.IndexesUsed)
 		}
 	}
+	// The cached plan flips to one structural probe at execution.
+	if len(istats.IndexesUsed) == 0 || !strings.Contains(istats.IndexesUsed[0], "structural //lineitem/product/id; direction flipped") {
+		t.Fatalf("past the cap the probe must flip direction: %v", istats.IndexesUsed)
+	}
 }
 
 // A prepared plan decides its query pattern's paths when it is built. A

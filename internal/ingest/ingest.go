@@ -1,12 +1,14 @@
 // Package ingest implements the streaming ingestion pipeline: XML files
 // stream through SAX-style parsers (xmlparse.StreamParser — no whole-file
-// strings, limits enforced mid-stream), XMLPATTERN extraction runs in the
-// same pass over the freshly built tree, and the extracted entries reach
+// strings, limits enforced mid-stream), each document is walked once with
+// the column's path dictionary, and that one walk feeds the XMLPATTERN
+// extraction of every index on the column. The extracted entries reach
 // each index as sorted runs that a k-way merge bulk-loads into a B+Tree
-// (btree.MergeLoad) instead of N root-to-leaf inserts. Parallelism comes
-// from per-file workers over a bounded job queue, so memory stays flat in
-// corpus size; commit is a single storage.BulkAppend, which keeps the
-// malformed-file contract atomic: any error leaves the table untouched.
+// (btree.MergeLoad) instead of N root-to-leaf inserts. The files split
+// into contiguous shards that guard.Shards runs in parallel. Every parsed
+// document and every extracted key stays in memory until the commit, a
+// single storage.BulkAppend, which keeps the malformed-file contract
+// atomic: any error leaves the table untouched.
 package ingest
 
 import (
@@ -16,11 +18,11 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"github.com/xqdb/xqdb/internal/guard"
 	"github.com/xqdb/xqdb/internal/metrics"
+	"github.com/xqdb/xqdb/internal/pattern"
 	"github.com/xqdb/xqdb/internal/storage"
 	"github.com/xqdb/xqdb/internal/xdm"
 	"github.com/xqdb/xqdb/internal/xmlindex"
@@ -30,9 +32,9 @@ import (
 
 // Options configures one load.
 type Options struct {
-	// Parallelism caps the parse workers; 0 means GOMAXPROCS, 1 runs
-	// serially. The load-side twin of QueryOptions.Parallelism: results
-	// are identical at any setting — rows land in file order.
+	// Parallelism caps the load's shards; 0 means GOMAXPROCS, 1 runs
+	// serially. Results are identical at any setting: rows land in file
+	// order.
 	Parallelism int
 	// Guard, when non-nil, is consulted between files and throughout the
 	// bulk index build so a canceled or timed-out load aborts cleanly.
@@ -52,7 +54,8 @@ type Options struct {
 // two-column (key, xml) table and returns the number of documents
 // loaded. Keys count from 0 in file order. The load is atomic: any
 // error — unreadable file, malformed or oversized document, failed
-// validation — loads nothing and the returned error names the file.
+// validation — loads nothing and the returned error names the file, the
+// first bad one in name order.
 func LoadDir(tab *storage.Table, dir string, opts Options) (int, error) {
 	if len(tab.Columns) != 2 || tab.Columns[1].Type != storage.XML {
 		return 0, fmt.Errorf("ingest: table %s is not a (key, xml) table", tab.Name)
@@ -83,116 +86,68 @@ func LoadDir(tab *storage.Table, dir string, opts Options) (int, error) {
 
 	// Snapshot the XML indexes and reserve the docID range up front:
 	// index keys embed the docID, so extraction needs ids before commit.
-	// Indexes created by concurrent DDL after this point get per-row
-	// maintenance inside BulkAppend.
-	xis := tab.XMLIndexes(tab.Columns[1].Name)
+	// BulkAppend extracts for itself the indexes that concurrent DDL
+	// creates after this point.
+	col := tab.Columns[1].Name
+	xis := tab.XMLIndexes(col)
+	dict := tab.Synopsis(col).Dict()
 	firstID := tab.ReserveIDs(len(names))
-
-	workers := opts.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(names) {
-		workers = len(names)
+	par := opts.Parallelism
+	if par <= 0 {
+		par = runtime.GOMAXPROCS(0)
 	}
 
-	// First error wins; later workers drain the queue without working.
-	var (
-		errMu   sync.Mutex
-		loadErr error
-	)
-	fail := func(err error) {
-		errMu.Lock()
-		if loadErr == nil {
-			loadErr = err
-		}
-		errMu.Unlock()
-	}
-	failed := func() bool {
-		errMu.Lock()
-		defer errMu.Unlock()
-		return loadErr != nil
-	}
-
-	// The job queue carries file indices, not contents: at most `workers`
-	// documents are in flight, so peak memory is bounded by parallelism,
-	// not corpus size. Workers write rows[i] for disjoint i — no locking.
+	// Each shard parses its files in name order into its own slots of
+	// rows and returns one sorted run per index.
 	rows := make([]storage.Row, len(names))
-	jobs := make(chan int, workers)
-	runs := make(map[*xmlindex.Index][][][]byte, len(xis))
-	var runsMu sync.Mutex
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sp := xmlparse.NewStreamParser()
-			exts := make([]*xmlindex.Extractor, len(xis))
-			for i, xi := range xis {
-				exts[i] = xi.Index.NewExtractor()
+	shardRuns, err := guard.Shards(par, len(names), func(lo, hi int) ([][][]byte, error) {
+		sp := xmlparse.NewStreamParser()
+		var w pattern.Walker
+		exts := make([]*xmlindex.Extractor, len(xis))
+		for i, xi := range xis {
+			exts[i] = xi.Index.NewExtractor()
+		}
+		for i := lo; i < hi; i++ {
+			if err := opts.Guard.Check(); err != nil {
+				return nil, err
 			}
-			for i := range jobs {
-				if failed() {
-					continue
-				}
-				if err := opts.Guard.Check(); err != nil {
-					fail(err)
-					continue
-				}
-				doc, err := parseFile(sp, filepath.Join(dir, names[i]), opts, mBytes, mParseNS)
-				if err != nil {
-					fail(fmt.Errorf("%s: %w", names[i], err))
-					continue
-				}
-				id := firstID + uint32(i)
+			doc, err := parseFile(sp, dir, names[i], opts, mBytes, mParseNS)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", names[i], err)
+			}
+			id := firstID + uint32(i)
+			// Without indexes there is nothing to extract; the synopsis
+			// walks the documents at commit either way.
+			if len(exts) > 0 {
 				t0 := time.Now()
-				for x := range exts {
-					if err := exts[x].AddDoc(id, doc); err != nil {
-						fail(fmt.Errorf("%s: %w", names[i], err))
-						break
+				nodes, ids := dict.IDs(&w, doc)
+				for _, e := range exts {
+					if err := e.AddNodes(id, nodes, ids); err != nil {
+						return nil, fmt.Errorf("%s: %w", names[i], err)
 					}
 				}
 				mIndexNS.Add(time.Since(t0).Nanoseconds())
-				rows[i] = storage.Row{ID: id, Cells: []storage.Cell{
-					{V: xdm.NewInteger(int64(i))}, {Doc: doc},
-				}}
-				mDocs.Inc()
 			}
-			if failed() {
-				return
-			}
-			// Finalize this worker's extractors into sorted runs (Run
-			// only sorts) outside runsMu.
-			for i, e := range exts {
-				if e.Len() == 0 {
-					continue
-				}
-				run := e.Run()
-				runsMu.Lock()
-				runs[xis[i].Index] = append(runs[xis[i].Index], run)
-				runsMu.Unlock()
-			}
-		}()
-	}
-	for i := range names {
-		if failed() {
-			break
+			rows[i] = storage.Row{ID: id, Cells: []storage.Cell{
+				{V: xdm.NewInteger(int64(i))}, {Doc: doc},
+			}}
+			mDocs.Inc()
 		}
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	if loadErr != nil {
-		return 0, loadErr
+		runs := make([][][]byte, len(exts))
+		for i, e := range exts {
+			runs[i] = e.Run()
+		}
+		return runs, nil
+	})
+	if err != nil {
+		return 0, err
 	}
 
-	// Parallel workers draw TreeIDs in parse-scheduling order, but
-	// cross-tree document order is (TreeID, Ordinal): re-issue the ids in
-	// file order so query results are byte-identical at any Parallelism.
-	// Index keys embed (docID, ordinal), never the TreeID, so the runs
-	// extracted above stay valid.
-	if workers > 1 {
+	// Parallel shards draw TreeIDs concurrently, but cross-tree document
+	// order is (TreeID, Ordinal): re-issue the ids in file order so query
+	// results are byte-identical at any Parallelism. Index keys embed
+	// (docID, ordinal), never the TreeID, so the runs stay valid.
+	if len(shardRuns) > 1 {
 		for i := range rows {
 			if err := opts.Guard.Check(); err != nil {
 				return 0, err
@@ -201,15 +156,19 @@ func LoadDir(tab *storage.Table, dir string, opts Options) (int, error) {
 		}
 	}
 
-	// Every index in the snapshot must appear in the runs map even with
-	// zero runs: presence is what routes it through the bulk build
-	// rather than per-row fallback inside BulkAppend.
+	// Every index in the snapshot is in the runs map, even with no
+	// runs: presence tells BulkAppend the index needs no extraction.
+	runs := make(map[*xmlindex.Index][][][]byte, len(xis))
 	totalRuns := 0
-	for _, xi := range xis {
-		if _, ok := runs[xi.Index]; !ok {
-			runs[xi.Index] = nil
+	for i, xi := range xis {
+		var r [][][]byte
+		for _, s := range shardRuns {
+			if len(s[i]) > 0 {
+				r = append(r, s[i])
+			}
 		}
-		totalRuns += len(runs[xi.Index])
+		runs[xi.Index] = r
+		totalRuns += len(r)
 	}
 	t0 := time.Now()
 	check := func(int) error { return opts.Guard.Check() }
@@ -222,9 +181,13 @@ func LoadDir(tab *storage.Table, dir string, opts Options) (int, error) {
 }
 
 // parseFile streams one file through the parser, counting bytes and
-// parse time, and optionally validates the document.
-func parseFile(sp *xmlparse.StreamParser, path string, opts Options, mBytes, mParseNS *metrics.Counter) (*xdm.Node, error) {
-	f, err := os.Open(path)
+// parse time, and optionally validates the document. The ingest.file
+// fault site, named after the file, fires first.
+func parseFile(sp *xmlparse.StreamParser, dir, name string, opts Options, mBytes, mParseNS *metrics.Counter) (*xdm.Node, error) {
+	if err := guard.Fault("ingest.file:" + name); err != nil {
+		return nil, err
+	}
+	f, err := os.Open(filepath.Join(dir, name))
 	if err != nil {
 		return nil, err
 	}

@@ -35,6 +35,14 @@ func docsTable(t *testing.T) *storage.Table {
 	return tab
 }
 
+// lowerShardFloor lets a load of a few files run more than one shard
+// for the rest of the test.
+func lowerShardFloor(t *testing.T, n int) {
+	old := guard.ShardFloor
+	guard.ShardFloor = n
+	t.Cleanup(func() { guard.ShardFloor = old })
+}
+
 func writeCorpus(t *testing.T, dir string, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
@@ -136,12 +144,67 @@ func TestLoadDirAtomicRollback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	lowerShardFloor(t, 2)
 	n, err := LoadDir(tab, dir, Options{Parallelism: 3})
 	if err == nil || !strings.Contains(err.Error(), "doc-0005-bad.xml") {
 		t.Fatalf("err = %v, want it to name doc-0005-bad.xml", err)
 	}
 	if n != 0 || tab.Len() != 0 || xi.Index.Stats().Entries != 0 {
 		t.Fatalf("failed load left residue: n=%d rows=%d entries=%d", n, tab.Len(), xi.Index.Stats().Entries)
+	}
+}
+
+// TestLoadDirNamesFirstBadFile: with bad files in the first and the last
+// shard, the error names the first in name order every time, however
+// the shards race.
+func TestLoadDirNamesFirstBadFile(t *testing.T) {
+	dir := t.TempDir()
+	writeCorpus(t, dir, guard.ShardFloor)
+	// Of 34 files in 4 shards, the first bad one is the last of shard 0
+	// (index 7) and the second the first of shard 3 (index 25).
+	for _, name := range []string{"doc-0007-bad.xml", "doc-0024-bad.xml"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("<broken"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 20 {
+		tab := docsTable(t)
+		n, err := LoadDir(tab, dir, Options{Parallelism: 4})
+		if err == nil || !strings.Contains(err.Error(), "doc-0007-bad.xml") {
+			t.Fatalf("err = %v, want it to name doc-0007-bad.xml", err)
+		}
+		if n != 0 || tab.Len() != 0 {
+			t.Fatalf("failed load left residue: n=%d rows=%d", n, tab.Len())
+		}
+	}
+}
+
+// TestLoadDirPanicIsInternal: a panic while a shard reads a file fails
+// the load with an Internal violation instead of killing the process,
+// and loads nothing, on the caller's goroutine and on a shard's own.
+func TestLoadDirPanicIsInternal(t *testing.T) {
+	dir := t.TempDir()
+	writeCorpus(t, dir, guard.ShardFloor)
+	defer guard.SetFaultHook(nil)
+	guard.SetFaultHook(func(site string) error {
+		if site == "ingest.file:doc-0020.xml" {
+			panic("injected")
+		}
+		return nil
+	})
+	for _, par := range []int{1, 4} {
+		tab := docsTable(t)
+		xi, err := tab.CreateXMLIndex("li", "d", "//lineitem/@price", xmlindex.Double)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := LoadDir(tab, dir, Options{Parallelism: par})
+		if v, ok := guard.AsViolation(err); !ok || v.Kind != guard.Internal {
+			t.Fatalf("Parallelism %d: err = %v, want an Internal violation", par, err)
+		}
+		if n != 0 || tab.Len() != 0 || xi.Index.Stats().Entries != 0 {
+			t.Fatalf("Parallelism %d: failed load left residue: n=%d rows=%d entries=%d", par, n, tab.Len(), xi.Index.Stats().Entries)
+		}
 	}
 }
 
@@ -181,6 +244,7 @@ func TestLoadDirGuardCancel(t *testing.T) {
 	cancel()
 	tab := docsTable(t)
 	g := guard.New(ctx, 0, guard.Limits{})
+	lowerShardFloor(t, 2)
 	n, err := LoadDir(tab, dir, Options{Guard: g, Parallelism: 2})
 	if err == nil {
 		t.Fatal("canceled load succeeded")
@@ -199,6 +263,7 @@ func TestLoadDirMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := metrics.NewRegistry()
+	lowerShardFloor(t, 2)
 	if _, err := LoadDir(tab, dir, Options{Parallelism: 2, Metrics: reg}); err != nil {
 		t.Fatal(err)
 	}

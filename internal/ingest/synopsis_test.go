@@ -66,6 +66,7 @@ func TestConcurrentLoadInsertDeleteSynopsis(t *testing.T) {
 	dir := t.TempDir()
 	writeCorpus(t, dir, 30)
 	tab := docsTable(t)
+	lowerShardFloor(t, 2)
 
 	var wg sync.WaitGroup
 	wg.Add(2)

@@ -27,9 +27,10 @@ func (t *Table) ReserveIDs(n int) uint32 {
 // the table and its indexes are untouched. runs maps an index to the
 // sorted key runs its extractors produced (see xmlindex.Extractor); an
 // index of this table absent from runs — created by DDL after extraction
-// started — is maintained per row, exactly as Insert would. check, when
-// non-nil, is consulted periodically through the index builds and row
-// walk so a guard can abort long appends.
+// started — gets its run extracted here from the rows. Either way each
+// index is rebuilt by one merge of its runs into its entries. check,
+// when non-nil, is consulted periodically through the index builds and
+// row walk so a guard can abort long appends.
 //
 // syn maps a column index to synopsis batches holding that column's
 // documents (see synopsis.Batch), each counted in under one lock take;
@@ -49,7 +50,7 @@ func (t *Table) BulkAppend(rows []Row, runs map[*xmlindex.Index][][][]byte, syn 
 
 	// Phase A: everything that can fail runs before anything becomes
 	// visible. Cell coercion first, then the staged index builds —
-	// PrepareBulk only reads the live trees.
+	// extraction and PrepareBulk only read the live trees.
 	//xqvet:unbounded-ok bounded by the load's corpus size; check below threads the guard
 	for ri := range rows {
 		if check != nil {
@@ -70,63 +71,26 @@ func (t *Table) BulkAppend(rows []Row, runs map[*xmlindex.Index][][][]byte, syn 
 			}
 		}
 	}
-	type stagedBuild struct {
-		ix *xmlindex.Index
-		bb *xmlindex.BulkBuild
-	}
-	var staged []stagedBuild
-	var perRow []*XMLIndex
-	for _, xi := range t.xmlIndexes {
+	staged := make([]*xmlindex.BulkBuild, len(t.xmlIndexes))
+	for i, xi := range t.xmlIndexes {
 		r, ok := runs[xi.Index]
 		if !ok {
-			perRow = append(perRow, xi)
-			continue
+			run, err := xi.extract(rows, check)
+			if err != nil {
+				return fmt.Errorf("bulk append into %s: %w", t.Name, err)
+			}
+			r = [][][]byte{run}
 		}
 		bb, err := xi.Index.PrepareBulk(check, r...)
 		if err != nil {
 			return fmt.Errorf("bulk append into %s: index %s: %w", t.Name, xi.Name, err)
 		}
-		staged = append(staged, stagedBuild{xi.Index, bb})
-	}
-
-	// Mid-load-DDL indexes get per-row maintenance. These mutate the
-	// index as they go, so an error unwinds what was already inserted.
-	type rowInsert struct {
-		xi  *XMLIndex
-		ci  int
-		row *Row
-	}
-	var inserted []rowInsert
-	undo := func() {
-		for _, d := range inserted {
-			d.xi.Index.DeleteDoc(d.row.ID, d.row.Cells[d.ci].Doc)
-		}
-	}
-	for _, xi := range perRow {
-		ci, _ := t.ColumnIndex(xi.Column)
-		//xqvet:unbounded-ok bounded by the load's corpus size; check below threads the guard
-		for ri := range rows {
-			if check != nil {
-				if err := check(ri); err != nil {
-					undo()
-					return fmt.Errorf("bulk append into %s: %w", t.Name, err)
-				}
-			}
-			cell := rows[ri].Cells[ci]
-			if cell.Null || cell.Doc == nil {
-				continue
-			}
-			if err := xi.Index.InsertDoc(rows[ri].ID, cell.Doc); err != nil {
-				undo()
-				return fmt.Errorf("bulk append into %s: %w", t.Name, err)
-			}
-			inserted = append(inserted, rowInsert{xi, ci, &rows[ri]})
-		}
+		staged[i] = bb
 	}
 
 	// Phase B: infallible. Swap the staged trees in, then land the rows.
-	for _, s := range staged {
-		s.ix.CommitBulk(s.bb)
+	for i, xi := range t.xmlIndexes {
+		xi.Index.CommitBulk(staged[i])
 	}
 	//xqvet:unbounded-ok phase B must run to completion; aborting here would leave indexes ahead of rows
 	for ri := range rows {
@@ -168,4 +132,26 @@ func (t *Table) BulkAppend(rows []Row, runs map[*xmlindex.Index][][][]byte, syn 
 		t.bumpVersion()
 	}
 	return nil
+}
+
+// extract returns the sorted index entries of the rows' documents in
+// xi's column: the one run a load's extractors would have produced.
+// check, when non-nil, is consulted per row.
+func (xi *XMLIndex) extract(rows []Row, check func(done int) error) ([][]byte, error) {
+	e := xi.Index.NewExtractor()
+	for ri := range rows {
+		if check != nil {
+			if err := check(ri); err != nil {
+				return nil, err
+			}
+		}
+		cell := rows[ri].Cells[xi.col]
+		if cell.Null || cell.Doc == nil {
+			continue
+		}
+		if err := e.AddDoc(rows[ri].ID, cell.Doc); err != nil {
+			return nil, err
+		}
+	}
+	return e.Run(), nil
 }

@@ -144,6 +144,7 @@ type XMLIndex struct {
 	Name   string
 	Column string
 	Index  *xmlindex.Index
+	col    int // Column's position
 }
 
 // RelIndex is a relational single-column B-tree index.
@@ -432,17 +433,13 @@ func (t *Table) Insert(cells []Cell) (uint32, error) {
 	// Maintain XML indexes first so a rejection leaves no trace.
 	var done []*XMLIndex
 	for _, xi := range t.xmlIndexes {
-		ci, _ := t.ColumnIndex(xi.Column)
-		cell := cells[ci]
+		cell := cells[xi.col]
 		if cell.Null || cell.Doc == nil {
 			continue
 		}
 		if err := xi.Index.InsertDoc(id, cell.Doc); err != nil {
 			for _, undo := range done {
-				uc, _ := t.ColumnIndex(undo.Column)
-				if !cells[uc].Null && cells[uc].Doc != nil {
-					undo.Index.DeleteDoc(id, cells[uc].Doc)
-				}
+				undo.Index.DeleteDoc(id, cells[undo.col].Doc)
 			}
 			return 0, fmt.Errorf("insert into %s: %w", t.Name, err)
 		}
@@ -502,8 +499,7 @@ func (t *Table) Delete(id uint32) error {
 	}
 	row := t.rows[pos]
 	for _, xi := range t.xmlIndexes {
-		ci, _ := t.ColumnIndex(xi.Column)
-		cell := row.Cells[ci]
+		cell := row.Cells[xi.col]
 		if !cell.Null && cell.Doc != nil {
 			xi.Index.DeleteDoc(id, cell.Doc)
 		}
@@ -623,7 +619,9 @@ func (t *Table) Len() int {
 }
 
 // CreateXMLIndex creates an XML value index on an XML column and builds
-// it over existing rows.
+// it over existing rows the way a bulk load does: extract every row's
+// entries, then merge them into a bulk-loaded tree. A list-typed match
+// in any row rejects the index.
 func (t *Table) CreateXMLIndex(name, column, xmlPattern string, typ xmlindex.Type) (*XMLIndex, error) {
 	ci, err := t.ColumnIndex(column)
 	if err != nil {
@@ -643,18 +641,19 @@ func (t *Table) CreateXMLIndex(name, column, xmlPattern string, typ xmlindex.Typ
 			return nil, fmt.Errorf("index %s already exists", name)
 		}
 	}
-	xi := &XMLIndex{Name: name, Column: strings.ToLower(column), Index: xmlindex.New(name, pat, typ, t.syns[ci].Dict())}
+	xi := &XMLIndex{Name: name, Column: strings.ToLower(column), col: ci,
+		Index: xmlindex.New(name, pat, typ, t.syns[ci].Dict())}
 	xi.Index.Instrument(t.metrics)
-	//xqvet:unbounded-ok DDL index build runs outside any query; no guard is in scope by design
-	for _, row := range t.rows {
-		cell := row.Cells[ci]
-		if cell.Null || cell.Doc == nil {
-			continue
-		}
-		if err := xi.Index.InsertDoc(row.ID, cell.Doc); err != nil {
-			return nil, fmt.Errorf("building index %s: %w", name, err)
-		}
+	// A DDL build runs outside any query, so no guard is in scope.
+	run, err := xi.extract(t.rows, nil)
+	if err != nil {
+		return nil, fmt.Errorf("building index %s: %w", name, err)
 	}
+	bb, err := xi.Index.PrepareBulk(nil, run)
+	if err != nil {
+		return nil, fmt.Errorf("building index %s: %w", name, err)
+	}
+	xi.Index.CommitBulk(bb)
 	t.xmlIndexes = append(t.xmlIndexes, xi)
 	t.bumpVersion()
 	return xi, nil

@@ -9,12 +9,13 @@ import (
 )
 
 // Extractor accumulates index entries for a batch of documents without
-// touching the index. AddDoc takes no index lock — it reads only the
-// index's immutable fields (Pattern, Type, Name, the column dictionary)
-// and writes into extractor-local state — so one extractor per worker
-// turns XMLPATTERN extraction into a parallel stage of the ingestion
-// pipeline. Keys carry the column dictionary's path IDs, so Run only
-// sorts, yielding one strictly ascending run for PrepareBulk.
+// touching the index. AddDoc and AddNodes take no index lock — they read
+// only the index's immutable fields (Pattern, Type, Name, the column
+// dictionary) and write into extractor-local state — so one extractor
+// per load shard turns XMLPATTERN extraction into a parallel stage of
+// the ingestion pipeline. Keys carry the column dictionary's path IDs,
+// so Run only sorts, yielding one strictly ascending run for
+// PrepareBulk.
 type Extractor struct {
 	ix   *Index
 	walk pathWalk
@@ -34,7 +35,15 @@ func (ix *Index) NewExtractor() *Extractor {
 // across every extractor feeding one PrepareBulk, or the merge will
 // reject the duplicate keys.
 func (e *Extractor) AddDoc(docID uint32, doc *xdm.Node) error {
-	keys, err := e.ix.extract(&e.walk, docID, doc, e.keys)
+	nodes, ids := e.ix.dict.IDs(&e.walk.walker, doc)
+	return e.AddNodes(docID, nodes, ids)
+}
+
+// AddNodes is AddDoc over a document its caller already walked with the
+// column dictionary (Dict.IDs), so one walk feeds every index of the
+// column.
+func (e *Extractor) AddNodes(docID uint32, nodes []*xdm.Node, ids []uint32) error {
+	keys, err := e.ix.entries(e.walk.paths, docID, nodes, ids, e.keys)
 	if err != nil {
 		return err
 	}

@@ -208,16 +208,24 @@ func (ix *Index) indexableValue(n *xdm.Node) (xdm.Value, bool, error) {
 	return v, true, nil
 }
 
-// extract appends to keys the entries of doc: one key per node whose
-// label path the index pattern matches and whose value casts to the
-// index type. Cast failures skip silently; a list-typed match is skipped
-// and reported as the error (§3.10 footnote), after the walk completes.
+// extract appends to keys the entries of doc, walking it with w. See
+// entries.
 func (ix *Index) extract(w *pathWalk, docID uint32, doc *xdm.Node, keys [][]byte) ([][]byte, error) {
-	var listErr error
 	nodes, ids := ix.dict.IDs(&w.walker, doc)
-	w.paths.Extend()
+	return ix.entries(w.paths, docID, nodes, ids, keys)
+}
+
+// entries appends to keys the entries of one document, given as its
+// nodes and their path IDs from the column dictionary (Dict.IDs): one
+// key per node whose path is in paths, the owner's set for the index
+// pattern, and whose value casts to the index type. Cast failures skip
+// silently; a list-typed match is skipped and reported as the error
+// (§3.10 footnote), after every node is seen.
+func (ix *Index) entries(paths *pattern.PathSet, docID uint32, nodes []*xdm.Node, ids []uint32, keys [][]byte) ([][]byte, error) {
+	var listErr error
+	paths.Extend()
 	for i, n := range nodes {
-		if !w.paths.Has(ids[i]) {
+		if !paths.Has(ids[i]) {
 			continue
 		}
 		v, ok, err := ix.indexableValue(n)

@@ -47,7 +47,7 @@ func TestBulkLoadQueryEquivalence(t *testing.T) {
 		db.MustExecSQL(`create index custid on orders(doc) using xmlpattern '/order/custid' as varchar`)
 	}
 
-	bulk := Open(WithLoadParallelism(4))
+	bulk := Open()
 	setup(bulk)
 	if got, err := bulk.LoadXMLDir("orders", dir); err != nil || got != n {
 		t.Fatalf("bulk load: %d, %v", got, err)
@@ -178,7 +178,7 @@ func TestLoadXMLDirOptsSchema(t *testing.T) {
 // corpus, and no probe errors.
 func TestConcurrentLoadAndQueries(t *testing.T) {
 	dir := writeOrdersDir(t, 30)
-	db := Open(WithLoadParallelism(2))
+	db := Open()
 	db.MustExecSQL(`create table orders (id integer, doc xml)`)
 	db.MustExecSQL(`create index li_price on orders(doc) using xmlpattern '//lineitem/@price' as double`)
 	// A resident corpus so queries always have rows to chew on.

@@ -44,9 +44,6 @@ import (
 // and contained evaluator panics surface as *QueryError.
 type DB struct {
 	eng *engine.Engine
-	// loadParallelism is the Open-time default worker count for bulk
-	// loads (WithLoadParallelism); 0 means GOMAXPROCS.
-	loadParallelism int
 	// UseIndexes controls whether the planner may install index
 	// pre-filters (Definition 1). Disable to measure full-scan
 	// baselines; results must be identical either way.
@@ -57,30 +54,9 @@ type DB struct {
 // engine.Stats for field documentation.
 type Stats = engine.Stats
 
-// openConfig collects Open-time knobs.
-type openConfig struct {
-	loadParallelism int
-}
-
-// Option configures a DB at Open time.
-type Option func(*openConfig)
-
-// WithLoadParallelism sets the default worker count for bulk loads
-// (LoadXMLDir) — the load-side twin of QueryOptions.Parallelism. n <= 0
-// means GOMAXPROCS; 1 loads serially. LoadOptions.Parallelism overrides
-// it per call. Results are identical at any setting: rows land in file
-// order regardless of which worker parsed them.
-func WithLoadParallelism(n int) Option {
-	return func(c *openConfig) { c.loadParallelism = n }
-}
-
 // Open creates an empty database.
-func Open(opts ...Option) *DB {
-	var c openConfig
-	for _, o := range opts {
-		o(&c)
-	}
-	return &DB{eng: engine.New(), loadParallelism: c.loadParallelism, UseIndexes: true}
+func Open() *DB {
+	return &DB{eng: engine.New(), UseIndexes: true}
 }
 
 // Result is a query result: column names and stringified rows plus the
@@ -224,14 +200,12 @@ func (s *Schema) Declare(key, typeName string) error {
 }
 
 // LoadOptions bounds one bulk load (LoadXMLDirOpts). The zero value uses
-// the Open-time load parallelism and the parser's default limits.
+// the parser's default limits. A load shards its files over GOMAXPROCS
+// goroutines, like every other parallel stage.
 type LoadOptions struct {
 	// Context cancels the load when done; nil means no cancellation. A
 	// canceled load is atomic like any failed load: nothing lands.
 	Context context.Context
-	// Parallelism caps this load's parse workers, overriding the
-	// WithLoadParallelism setting; 0 defers to it, 1 runs serially.
-	Parallelism int
 	// MaxParseDepth and MaxDocBytes bound each file's parse, enforced
 	// while streaming — an oversized file aborts the load just past the
 	// cap, not after reading the whole file. 0 falls back to the parser
@@ -267,20 +241,15 @@ func (db *DB) LoadXMLDirOpts(table, dir string, opts LoadOptions) (int, error) {
 	if opts.Context != nil {
 		g = guard.New(opts.Context, 0, guard.Limits{})
 	}
-	par := opts.Parallelism
-	if par == 0 {
-		par = db.loadParallelism
-	}
 	var sch *xmlschema.Schema
 	if opts.Schema != nil {
 		sch = opts.Schema.s
 	}
 	n, err := ingest.LoadDir(tab, dir, ingest.Options{
-		Parallelism: par,
-		Guard:       g,
-		Limits:      xmlparse.Limits{MaxDepth: opts.MaxParseDepth, MaxBytes: opts.MaxDocBytes},
-		Schema:      sch,
-		Metrics:     db.eng.Metrics,
+		Guard:   g,
+		Limits:  xmlparse.Limits{MaxDepth: opts.MaxParseDepth, MaxBytes: opts.MaxDocBytes},
+		Schema:  sch,
+		Metrics: db.eng.Metrics,
 	})
 	if err != nil {
 		return 0, fmt.Errorf("LoadXMLDir %s: %w", dir, err)
