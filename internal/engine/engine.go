@@ -311,8 +311,26 @@ func rankProbes(plans []probePlan) {
 }
 
 // defaultSemiJoinCap bounds the rows of a join table a semi-join probes
-// one value at a time; past it the probe flips direction (runProbe).
+// one value at a time; past it the probe flips direction (flipSemiJoin).
 const defaultSemiJoinCap = 4096
+
+// flipSemiJoin decides a semi-join probe's direction from the join
+// table's current size, so a cached plan follows the table as it grows
+// and EXPLAIN shows what execution would run. Past defaultSemiJoinCap
+// rows it turns pl into one structural probe over the pattern's paths,
+// which still pre-filters to the documents containing the pattern,
+// instead of one equality probe per join value.
+func (e *Engine) flipSemiJoin(pl *probePlan) {
+	if pl.semi == nil {
+		return
+	}
+	if joinTab, err := e.Catalog.Table(pl.semi.table); err != nil || joinTab.Len() <= defaultSemiJoinCap {
+		return
+	}
+	pl.label = fmt.Sprintf("%s(structural %s; direction flipped: %s.%s exceeds %d values)",
+		pl.index.Name, pl.probe.Paths.Pattern(), pl.semi.table, pl.semi.column, defaultSemiJoinCap)
+	pl.semi = nil
+}
 
 // buildSemiJoinPlan plans a Query 13-style semi-join probe (XML path
 // compared with a SQL scalar variable): one equality probe per distinct
@@ -339,15 +357,15 @@ func (e *Engine) buildSemiJoinPlan(p core.Predicate, paths *pattern.PathSet, xi 
 
 // semiJoinValues gathers the distinct non-null values of the join column,
 // iterating under the table's read lock without snapshotting the rows.
-// ok=false (join table gone, or more than defaultSemiJoinCap rows, read
-// before any value is gathered) flips the probe's direction; a row
-// inserted between that count and the walk only adds one more probe. A
-// guard violation (cancellation, timeout, step budget) aborts instead —
-// the walk is proportional to the join table's row count, so it must
-// answer to the query's guard like every other data-sized loop.
+// flipSemiJoin has bounded the table's rows just before; a row inserted
+// since only adds one more probe. ok=false (join table or column gone)
+// leaves the occurrence unprobed; a guard violation (cancellation,
+// timeout, step budget) aborts instead — the walk is proportional to the
+// join table's row count, so it must answer to the query's guard like
+// every other data-sized loop.
 func (e *Engine) semiJoinValues(g *guard.Guard, spec *semiJoinSpec) ([]xdm.Value, bool, error) {
 	joinTab, err := e.Catalog.Table(spec.table)
-	if err != nil || joinTab.Len() > defaultSemiJoinCap {
+	if err != nil {
 		return nil, false, nil
 	}
 	ci, err := joinTab.ColumnIndex(spec.column)
@@ -456,8 +474,9 @@ type probeOutcome struct {
 	label  string
 	cached bool
 	// ok=false marks a non-probeable outcome (a bound that does not
-	// cast): the occurrence stays unprobed and poisons its collection
-	// below — a full scan, never a wrong answer.
+	// cast, a semi-join whose join table is gone): the occurrence stays
+	// unprobed and poisons its collection below — a full scan, never a
+	// wrong answer.
 	ok bool
 	// skipped marks a probe the synopsis short-circuited: ok with an
 	// empty document set, zero index work.
@@ -519,26 +538,17 @@ func (e *Engine) runProbe(g *guard.Guard, pl probePlan, o ExecOptions) probeOutc
 		out.label += " [skipped: no matching path in synopsis]"
 		return out
 	}
-	var values []xdm.Value
-	semi := false
-	if pl.semi != nil {
-		var err error
-		if values, semi, err = e.semiJoinValues(g, pl.semi); err != nil {
+	e.flipSemiJoin(&pl)
+	out.label = pl.label
+	switch {
+	case pl.semi != nil:
+		// Semi-join: union of one equality probe per distinct value of
+		// the join column, gathered now — the values are data.
+		values, ok, err := e.semiJoinValues(g, pl.semi)
+		if !ok {
 			out.err = err
 			return out
 		}
-		if !semi {
-			// Past the value cap, flip direction: one structural probe
-			// over the pattern's paths still pre-filters to the
-			// documents containing it.
-			out.label = fmt.Sprintf("%s(structural %s; direction flipped: %s.%s exceeds %d values)",
-				pl.index.Name, pl.probe.Paths.Pattern(), pl.semi.table, pl.semi.column, defaultSemiJoinCap)
-		}
-	}
-	switch {
-	case semi:
-		// Semi-join: union of one equality probe per distinct value of
-		// the join column, gathered now — the values are data.
 		lists := make([]postings.List, 0, len(values))
 		out.cached = len(values) > 0
 		for _, v := range values {

@@ -57,6 +57,9 @@ func (e *Engine) renderPlan(p *plan, cache string) string {
 		b.WriteString(p.answer.explain())
 	}
 	for _, pl := range p.probes {
+		if !pl.skip {
+			e.flipSemiJoin(&pl)
+		}
 		seeded := ""
 		if n := len(pl.seeds); n > 0 {
 			if n == 1 {

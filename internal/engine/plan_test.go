@@ -110,12 +110,13 @@ func TestPrepareSurfacesParseErrors(t *testing.T) {
 	}
 }
 
-// Exactly defaultSemiJoinCap distinct join values may probe; one more
-// bails out of the semi-join — the occurrence stays unprobed (poisoned),
-// the scan stays full, and results must be unchanged either way. The
-// extra value arrives after the plan is cached: a products row changes
-// no path set, so the prepared plan, still a semi-join, meets it at
-// execution.
+// A join table of exactly defaultSemiJoinCap rows still probes one
+// value at a time; one more row flips the probe's direction to one
+// structural probe over the pattern's paths, and results must be
+// unchanged either way. The extra row arrives after the plan is cached:
+// a products row changes no path set, so the prepared plan, still a
+// semi-join, meets it at execution. EXPLAIN shows the same direction as
+// execution on both sides of the cap.
 func TestSemiJoinCapBoundary(t *testing.T) {
 	q := `SELECT p.name, o.ordid FROM products p, orders o
 		WHERE XMLExists('$order//lineitem/product[id eq $pid]' passing o.orddoc as "order", p.id as "pid")`
@@ -140,6 +141,23 @@ func TestSemiJoinCapBoundary(t *testing.T) {
 	if len(istats.IndexesUsed) == 0 || !strings.Contains(istats.IndexesUsed[0], "semi-join") {
 		t.Fatalf("at the cap the semi-join must run: %v", istats.IndexesUsed)
 	}
+	explainProbe := func() string {
+		t.Helper()
+		rep, err := e.Explain(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(rep, "\n") {
+			if strings.HasPrefix(line, "probe ") {
+				return line
+			}
+		}
+		t.Fatalf("EXPLAIN shows no probe:\n%s", rep)
+		return ""
+	}
+	if line := explainProbe(); !strings.Contains(line, "semi-join") || !strings.Contains(line, "probe cache: per-value") {
+		t.Fatalf("at the cap EXPLAIN must show the semi-join: %s", line)
+	}
 
 	// One past the cap, through the same cached plan.
 	mustSQL(t, e, fmt.Sprintf(`insert into products values ('%d', 'one more')`, defaultSemiJoinCap))
@@ -155,6 +173,13 @@ func TestSemiJoinCapBoundary(t *testing.T) {
 	// The cached plan flips to one structural probe at execution.
 	if len(istats.IndexesUsed) == 0 || !strings.Contains(istats.IndexesUsed[0], "structural //lineitem/product/id; direction flipped") {
 		t.Fatalf("past the cap the probe must flip direction: %v", istats.IndexesUsed)
+	}
+	line := explainProbe()
+	if !strings.Contains(line, "structural //lineitem/product/id; direction flipped") || strings.Contains(line, "semi-join") {
+		t.Fatalf("past the cap EXPLAIN must show the flipped probe: %s", line)
+	}
+	if !strings.Contains(line, "probe cache: hit") && !strings.Contains(line, "probe cache: cold") {
+		t.Fatalf("past the cap EXPLAIN must report the structural probe's cache state: %s", line)
 	}
 }
 

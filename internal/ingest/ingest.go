@@ -12,12 +12,14 @@
 package ingest
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"github.com/xqdb/xqdb/internal/guard"
@@ -98,16 +100,30 @@ func LoadDir(tab *storage.Table, dir string, opts Options) (int, error) {
 	}
 
 	// Each shard parses its files in name order into its own slots of
-	// rows and returns one sorted run per index.
+	// rows and returns one sorted run per index. firstBad latches the
+	// lowest index of a file whose shard failed (an error or a panic); a
+	// shard stops before any later file, whose error could never be the
+	// one reported, so an early bad file ends the load's work.
 	rows := make([]storage.Row, len(names))
+	var firstBad atomic.Int64
+	firstBad.Store(int64(len(names)))
 	shardRuns, err := guard.Shards(par, len(names), func(lo, hi int) ([][][]byte, error) {
+		i, done := lo, false
+		defer func() {
+			if !done {
+				lower(&firstBad, int64(i))
+			}
+		}()
 		sp := xmlparse.NewStreamParser()
 		var w pattern.Walker
 		exts := make([]*xmlindex.Extractor, len(xis))
-		for i, xi := range xis {
-			exts[i] = xi.Index.NewExtractor()
+		for x, xi := range xis {
+			exts[x] = xi.Index.NewExtractor()
 		}
-		for i := lo; i < hi; i++ {
+		for ; i < hi; i++ {
+			if int64(i) > firstBad.Load() {
+				return nil, errStopped
+			}
 			if err := opts.Guard.Check(); err != nil {
 				return nil, err
 			}
@@ -134,9 +150,10 @@ func LoadDir(tab *storage.Table, dir string, opts Options) (int, error) {
 			mDocs.Inc()
 		}
 		runs := make([][][]byte, len(exts))
-		for i, e := range exts {
-			runs[i] = e.Run()
+		for x, e := range exts {
+			runs[x] = e.Run()
 		}
+		done = true
 		return runs, nil
 	})
 	if err != nil {
@@ -178,6 +195,21 @@ func LoadDir(tab *storage.Table, dir string, opts Options) (int, error) {
 	mIndexNS.Add(time.Since(t0).Nanoseconds())
 	mRuns.Add(int64(totalRuns))
 	return len(names), nil
+}
+
+// errStopped ends a shard whose next file lies past a file that already
+// failed. It never reaches the caller: a shard stops only behind a
+// failing shard, whose error guard.Shards reports first.
+var errStopped = errors.New("ingest: stopped behind an earlier failed file")
+
+// lower stores v in a unless a already holds a smaller value.
+func lower(a *atomic.Int64, v int64) {
+	for {
+		old := a.Load()
+		if v >= old || a.CompareAndSwap(old, v) {
+			return
+		}
+	}
 }
 
 // parseFile streams one file through the parser, counting bytes and

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/xqdb/xqdb/internal/guard"
 	"github.com/xqdb/xqdb/internal/metrics"
@@ -176,6 +177,44 @@ func TestLoadDirNamesFirstBadFile(t *testing.T) {
 		if n != 0 || tab.Len() != 0 {
 			t.Fatalf("failed load left residue: n=%d rows=%d", n, tab.Len())
 		}
+	}
+}
+
+// TestLoadDirStopsAfterFirstBadFile: once the first file fails, the
+// other shards stop at their next file instead of loading the rest of
+// the corpus. The first file of each later shard waits for the failure,
+// so each later shard loads that one file, give or take one that beats
+// the latch; without the latch they would load all 48 of theirs.
+func TestLoadDirStopsAfterFirstBadFile(t *testing.T) {
+	const n = 64 // 4 shards of 16
+	dir := t.TempDir()
+	writeCorpus(t, dir, n)
+	release := make(chan struct{})
+	defer guard.SetFaultHook(nil)
+	guard.SetFaultHook(func(site string) error {
+		switch site {
+		case "ingest.file:doc-0000.xml":
+			close(release)
+			return errors.New("injected")
+		case "ingest.file:doc-0016.xml", "ingest.file:doc-0032.xml", "ingest.file:doc-0048.xml":
+			select {
+			case <-release:
+			case <-time.After(10 * time.Second):
+			}
+		}
+		return nil
+	})
+	tab := docsTable(t)
+	reg := metrics.NewRegistry()
+	loaded, err := LoadDir(tab, dir, Options{Parallelism: 4, Metrics: reg})
+	if err == nil || !strings.Contains(err.Error(), "doc-0000.xml") {
+		t.Fatalf("err = %v, want it to name doc-0000.xml", err)
+	}
+	if loaded != 0 || tab.Len() != 0 {
+		t.Fatalf("failed load left residue: n=%d rows=%d", loaded, tab.Len())
+	}
+	if docs := reg.Snapshot().Counters["ingest.docs"]; docs > 6 {
+		t.Fatalf("ingest.docs = %d after the first file failed, want at most 6", docs)
 	}
 }
 

@@ -35,8 +35,12 @@ func (ix *Index) NewExtractor() *Extractor {
 // across every extractor feeding one PrepareBulk, or the merge will
 // reject the duplicate keys.
 func (e *Extractor) AddDoc(docID uint32, doc *xdm.Node) error {
-	nodes, ids := e.ix.dict.IDs(&e.walk.walker, doc)
-	return e.AddNodes(docID, nodes, ids)
+	keys, err := e.ix.extract(&e.walk, docID, doc, e.keys)
+	if err != nil {
+		return err
+	}
+	e.keys = keys
+	return nil
 }
 
 // AddNodes is AddDoc over a document its caller already walked with the
@@ -50,9 +54,6 @@ func (e *Extractor) AddNodes(docID uint32, nodes []*xdm.Node, ids []uint32) erro
 	e.keys = keys
 	return nil
 }
-
-// Len returns the number of entries extracted so far.
-func (e *Extractor) Len() int { return len(e.keys) }
 
 // Run finalizes the extractor into one sorted key run; it takes no lock.
 // Paths AddDoc interned for a load that later rolls back stay in the

@@ -6,10 +6,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
+	"github.com/xqdb/xqdb/internal/guard"
 	"github.com/xqdb/xqdb/internal/workload"
 )
 
@@ -23,6 +25,16 @@ func writeOrdersDir(t testing.TB, n int) string {
 		}
 	}
 	return dir
+}
+
+// atLeastProcs raises GOMAXPROCS to procs for the rest of the test, so
+// its loads run that many shards on any host: a load of at least
+// guard.ShardFloor files shards at GOMAXPROCS.
+func atLeastProcs(t *testing.T, procs int) {
+	if old := runtime.GOMAXPROCS(0); old < procs {
+		runtime.GOMAXPROCS(procs)
+		t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+	}
 }
 
 // loadQueries is the probe battery the equivalence tests run on both
@@ -47,6 +59,7 @@ func TestBulkLoadQueryEquivalence(t *testing.T) {
 		db.MustExecSQL(`create index custid on orders(doc) using xmlpattern '/order/custid' as varchar`)
 	}
 
+	atLeastProcs(t, 4) // 80 files load in 4 shards
 	bulk := Open()
 	setup(bulk)
 	if got, err := bulk.LoadXMLDir("orders", dir); err != nil || got != n {
@@ -178,6 +191,10 @@ func TestLoadXMLDirOptsSchema(t *testing.T) {
 // corpus, and no probe errors.
 func TestConcurrentLoadAndQueries(t *testing.T) {
 	dir := writeOrdersDir(t, 30)
+	// Each load of the 30 files runs at least 2 shards.
+	atLeastProcs(t, 2)
+	defer func(n int) { guard.ShardFloor = n }(guard.ShardFloor)
+	guard.ShardFloor = 2
 	db := Open()
 	db.MustExecSQL(`create table orders (id integer, doc xml)`)
 	db.MustExecSQL(`create index li_price on orders(doc) using xmlpattern '//lineitem/@price' as double`)
